@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 from typing import List, Optional
 
@@ -33,7 +34,7 @@ from .ordinal import (
     std_add,
     tower,
 )
-from .ramsey.checkers import is_homogeneous, is_transitive
+from .ramsey.checkers import is_transitive
 from .ramsey.instances import (
     SetFamily,
     format_coloring,
@@ -80,7 +81,9 @@ def _cmd_ord(args) -> int:
         elif op == "tower":
             print(format_ordinal(tower(parse_ordinal(args.a), int(args.b))))
         elif op == "encode":
-            print(encode(parse_ordinal(args.a)))
+            # Decimal prints codes past the interpreter's int-to-str digit
+            # limit; encode bounds them by MAX_CODE_BITS.
+            print(Decimal(encode(parse_ordinal(args.a))))
         elif op == "decode":
             print(format_ordinal(decode(int(args.a))))
     except (OrdinalSyntaxError, InvalidIndexError, ValueError, ArithmeticError) as exc:
@@ -252,8 +255,7 @@ def _cmd_ramsey(args) -> int:
                       f"size={len(trace.final_set)} color={trace.final_color} "
                       f"direction={trace.monotone_direction}")
             check = verify_trace(trace, coloring)
-            homog = is_homogeneous(coloring, trace.final_set)
-            if not (check.ok and homog.ok):
+            if not check.ok:
                 print(f"invalid: stage={check.stage} {check.detail}")
                 return FAIL
             return OK

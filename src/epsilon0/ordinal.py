@@ -28,6 +28,9 @@ with   encode(0) = 0
 
 where `rest` is the remainder of the normal form.  `decode` is its exact
 inverse and rejects integers that do not describe a canonical form.
+A code grows about fourfold in bits per nesting level and twofold per
+term, so `encode` raises OrdinalCodeSizeError as soon as the code of a
+term passes MAX_CODE_BITS bits.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from typing import Iterable, Iterator, Tuple, Union
 
 __all__ = [
     "LT", "EQ", "GT",
-    "COEFF_LIMIT", "MAX_DEPTH",
+    "COEFF_LIMIT", "MAX_DEPTH", "MAX_CODE_BITS",
     "Ordinal", "OrdinalIndex",
     "ZERO", "ONE", "OMEGA", "TOP",
-    "OrdinalOverflowError", "OrdinalDepthError", "InvalidIndexError",
+    "OrdinalOverflowError", "OrdinalDepthError", "OrdinalCodeSizeError",
+    "InvalidIndexError",
     "OrdinalSyntaxError",
     "from_int", "compare", "std_add", "nat_add", "nat_mul_k",
     "nat_mul_omega", "omega_pow", "tower",
@@ -57,6 +61,10 @@ COEFF_LIMIT = (1 << 63) - 1
 #: Deepest nesting of exponents a value may have (see the module docstring).
 MAX_DEPTH = 256
 
+#: Widest integer code, in bits, that `encode` builds (see the module
+#: docstring): 1 Mibit, 315 653 decimal digits.
+MAX_CODE_BITS = 1 << 20
+
 #: Integer index of an ordinal under the documented coding scheme.
 OrdinalIndex = int
 
@@ -67,6 +75,10 @@ class OrdinalOverflowError(ArithmeticError):
 
 class OrdinalDepthError(ValueError):
     """A value would nest exponents deeper than MAX_DEPTH."""
+
+
+class OrdinalCodeSizeError(ValueError):
+    """A value's integer code would be wider than MAX_CODE_BITS."""
 
 
 class InvalidIndexError(ValueError):
@@ -330,10 +342,14 @@ def unpair(z: int) -> Tuple[int, int]:
 
 
 def encode(a: Ordinal) -> OrdinalIndex:
-    """Injective integer index of a normal form."""
+    """Injective integer index of a normal form; raises
+    OrdinalCodeSizeError when the code passes MAX_CODE_BITS bits."""
     code = 0
     for g, n in reversed(a):
         code = 1 + pair(pair(encode(g), n - 1), code)
+        if code.bit_length() > MAX_CODE_BITS:
+            raise OrdinalCodeSizeError(
+                f"the integer code exceeds the limit of MAX_CODE_BITS = {MAX_CODE_BITS} bits")
     return code
 
 

@@ -16,6 +16,7 @@ File formats (one instance per file):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import FrozenSet, Iterator, Sequence, Tuple
 
 __all__ = [
@@ -46,6 +47,12 @@ def all_pairs(n: int) -> Iterator[Tuple[int, int]]:
             yield x, y
 
 
+@lru_cache(maxsize=64)
+def _pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs (x, y), x < y, in pair order."""
+    return tuple(all_pairs(n))
+
+
 @dataclass(frozen=True)
 class PairColoring:
     """A total 2-coloring of the pairs over [0, n), packed as a bit field."""
@@ -61,6 +68,21 @@ class PairColoring:
 
     def color(self, x: int, y: int) -> int:
         return (self.bits >> pair_index(x, y, self.n)) & 1
+
+    @cached_property
+    def adj(self) -> Tuple[int, ...]:
+        """adj[x] is the bit mask of {y : f(x, y) = 1}, the color-1
+        neighbors of x; computed on first use and kept on the instance."""
+        adj = [0] * self.n
+        table = _pair_table(self.n)
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            x, y = table[low.bit_length() - 1]
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+            bits ^= low
+        return tuple(adj)
 
     @classmethod
     def from_function(cls, n: int, fn) -> "PairColoring":

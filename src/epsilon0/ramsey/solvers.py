@@ -5,10 +5,13 @@ The pipeline mirrors the classical decomposition: build the family
 R_x = {y : f(x,y) = 1} and extract a cohesive-style set G0; view the
 induced coloring on G0 as a tournament and extract a transitive G1;
 read the induced transitive coloring on G1 as a linear order and take a
-monotone subsequence H; map back.  Monotone sequences of a transitive
-coloring are one-colored, so the final set is homogeneous by
-construction, and `verify_trace` re-derives every stage property from the
-original coloring alone.
+monotone subsequence H.  Monotone sequences of a transitive coloring are
+one-colored, so the final set is homogeneous by construction, and
+`verify_trace` re-derives every stage property from the original coloring
+alone.  Both run on the coloring's adjacency masks (`PairColoring.adj`)
+over the original vertex ids, without building the intermediate
+instances; `coh_solve`, `em_solve` and `ads_solve` wrap the same cores for
+stand-alone families, tournaments and orders.
 
 "Infinite" notions are finitized deterministically:
 
@@ -37,12 +40,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .checkers import (
-    coloring_is_transitive,
-    is_homogeneous,
-    order_from_transitive_coloring,
-    tournament_from_coloring,
-)
+from .checkers import coloring_is_transitive
 from .instances import LinearOrderInstance, PairColoring, SetFamily, Tournament
 from .oracles import is_transitive_mask
 
@@ -79,21 +77,39 @@ class Classification:
         return UNDECIDED
 
 
-def _classify_masks(n: int, out: Sequence[int], w: int) -> List[int]:
-    full = (1 << n) - 1
-    wmask = full & ~((1 << max(n - w, 0)) - 1)
-    sides = []
-    for x in range(n):
+def _mask(verts) -> int:
+    """The bit mask of distinct vertex ids."""
+    mask = 0
+    for x in verts:
+        mask |= 1 << x
+    return mask
+
+
+def _window_mask(verts: Sequence[int], w: int) -> int:
+    """Mask of the top w of the ascending vertex ids `verts`."""
+    return _mask(verts[max(len(verts) - w, 0):])
+
+
+def _classify_masks(out: Sequence[int], verts: Sequence[int], wmask: int) -> List[int]:
+    """Window side of each vertex of `verts`, indexed by vertex id
+    (UNDECIDED off `verts`); `wmask` is the window."""
+    sides = [UNDECIDED] * len(out)
+    for x in verts:
         rest = wmask & ~(1 << x)
-        beaten_by_all = rest & out[x] == 0          # every window vertex beats x
-        beats_all = rest & ~out[x] & full == 0      # x beats every window vertex
-        if beaten_by_all:
-            sides.append(1)
-        elif beats_all:
-            sides.append(0)
-        else:
-            sides.append(UNDECIDED)
+        if not rest & out[x]:           # every window vertex beats x
+            sides[x] = 1
+        elif not rest & ~out[x]:        # x beats every window vertex
+            sides[x] = 0
     return sides
+
+
+def _classification(w: int, sides: Sequence[int]) -> Classification:
+    return Classification(
+        window=w,
+        a0=frozenset(x for x, side in enumerate(sides) if side == 0),
+        a1=frozenset(x for x, side in enumerate(sides) if side == 1),
+        undecided=frozenset(x for x, side in enumerate(sides) if side == UNDECIDED),
+    )
 
 
 def limit_classification(r: Tournament, w: int) -> Classification:
@@ -102,13 +118,8 @@ def limit_classification(r: Tournament, w: int) -> Classification:
     A vacuously empty window assigns side 1."""
     if w > r.n or w < 0:
         raise ValueError(f"window must lie in [0, {r.n}]")
-    sides = _classify_masks(r.n, r.out, w)
-    return Classification(
-        window=w,
-        a0=frozenset(x for x in range(r.n) if sides[x] == 0),
-        a1=frozenset(x for x in range(r.n) if sides[x] == 1),
-        undecided=frozenset(x for x in range(r.n) if sides[x] == UNDECIDED),
-    )
+    verts = range(r.n)
+    return _classification(w, _classify_masks(r.out, verts, _window_mask(verts, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +155,14 @@ def coh_solve(family: SetFamily, target: int) -> CohResult:
     for a universe of at least two elements and target >= 2 it always has
     at least two elements.
     """
-    n = family.n
-    if not 0 <= target <= n:
+    if not 0 <= target <= family.n:
         raise ValueError("target must lie in [0, n]")
-    masks = family.masks()
-    full = (1 << n) - 1 if n else 0
-    reservoir = full
+    return _coh_masks(family.n, family.masks(), target)
+
+
+def _coh_masks(n: int, masks: Sequence[int], target: int) -> CohResult:
+    """coh_solve on the sets given as bit masks over [0, n)."""
+    reservoir = (1 << n) - 1
     committed: List[int] = []
     sides: List[int] = []
     thresholds: List[int] = []
@@ -191,15 +204,17 @@ class EmResult:
     completed: Tuple[int, ...]  # vertices added by the closure pass
 
 
-def em_solve_masks(n: int, out: Sequence[int], w: int) -> Tuple[int, List[Tuple[int, int, int]], List[int]]:
-    """Core of em_solve on raw out-masks; returns (subset mask, steps,
-    completions).  Kept allocation-light for exhaustive sweeps."""
-    sides = _classify_masks(n, out, w)
-    full = (1 << n) - 1
-    reservoir = full
+def _em_core(out: Sequence[int], verts: Sequence[int], universe: int,
+             wmask: int) -> Tuple[List[int], int, List[Tuple[int, int, int]], List[int]]:
+    """The EM passes over the ascending vertex ids `verts` (whose mask is
+    `universe`) of the tournament given by out-masks indexed by vertex id,
+    classified by the window mask `wmask`.  Returns (sides by vertex id,
+    subset mask, steps, completions)."""
+    sides = _classify_masks(out, verts, wmask)
+    reservoir = universe
     chosen = 0
     steps: List[Tuple[int, int, int]] = []
-    for x in range(n):
+    for x in verts:
         if not (reservoir >> x) & 1:
             continue
         side = sides[x]
@@ -207,17 +222,24 @@ def em_solve_masks(n: int, out: Sequence[int], w: int) -> Tuple[int, List[Tuple[
             continue
         steps.append((x, side, reservoir))
         chosen |= 1 << x
-        above = full & ~((1 << (x + 1)) - 1)
         keep = out[x] if side == 0 else ~out[x]
-        reservoir &= above & keep
+        reservoir &= keep & -(2 << x)     # the kept side, above x
     completed: List[int] = []
-    for x in range(n):
+    for x in verts:
         if (chosen >> x) & 1:
             continue
         candidate = chosen | (1 << x)
         if is_transitive_mask(out, candidate):
             chosen = candidate
             completed.append(x)
+    return sides, chosen, steps, completed
+
+
+def em_solve_masks(n: int, out: Sequence[int], w: int) -> Tuple[int, List[Tuple[int, int, int]], List[int]]:
+    """Core of em_solve on raw out-masks; returns (subset mask, steps,
+    completions).  Kept allocation-light for exhaustive sweeps."""
+    verts = range(n)
+    _, chosen, steps, completed = _em_core(out, verts, (1 << n) - 1, _window_mask(verts, w))
     return chosen, steps, completed
 
 
@@ -236,11 +258,12 @@ def em_solve(r: Tournament, w: Optional[int] = None) -> EmResult:
         w = default_window(r.n)
     if w > r.n or w < 0:
         raise ValueError(f"window must lie in [0, {r.n}]")
-    chosen, steps, completed = em_solve_masks(r.n, r.out, w)
-    subset = tuple(x for x in range(r.n) if (chosen >> x) & 1)
+    verts = range(r.n)
+    sides, chosen, steps, completed = _em_core(
+        r.out, verts, (1 << r.n) - 1, _window_mask(verts, w))
     return EmResult(
-        subset=subset,
-        classification=limit_classification(r, w),
+        subset=tuple(x for x in verts if (chosen >> x) & 1),
+        classification=_classification(w, sides),
         steps=tuple(steps),
         completed=tuple(completed),
     )
@@ -306,6 +329,17 @@ def _split_pair_greedy(order: LinearOrderInstance,
     return asc, desc
 
 
+def _longest_monotone(rank: Sequence[int]) -> Tuple[str, List[int], List[int], List[int]]:
+    """(direction, sequence, ascending, descending): the longest ascending
+    and descending subsequences of the distinct ranks and the longer of
+    the two (ties to ascending), as index lists."""
+    ascending = _patience_lis(rank)
+    descending = _patience_lis([-r for r in rank])
+    if len(ascending) >= len(descending):
+        return "ascending", ascending, ascending, descending
+    return "descending", descending, ascending, descending
+
+
 def ads_solve(order: LinearOrderInstance) -> AdsResult:
     """Longest ascending-or-descending subsequence, with the split-pair
     greedy recorded alongside.
@@ -320,12 +354,7 @@ def ads_solve(order: LinearOrderInstance) -> AdsResult:
     rank = order.ranking
     in_u = [rank[x] * 2 < n for x in range(n)]
     greedy_asc, greedy_desc = _split_pair_greedy(order, in_u)
-    ascending = _patience_lis(rank)
-    descending = _patience_lis([-r for r in rank])
-    if len(ascending) >= len(descending):
-        direction, sequence = "ascending", ascending
-    else:
-        direction, sequence = "descending", descending
+    direction, sequence, ascending, descending = _longest_monotone(rank)
     return AdsResult(
         direction=direction,
         sequence=tuple(sequence),
@@ -401,41 +430,55 @@ def family_from_coloring(f: PairColoring) -> SetFamily:
 
 
 def rt22_solve(f: PairColoring, window: Optional[int] = None) -> SolverTrace:
-    """Full pipeline on a pair coloring; the result is always homogeneous.
+    """Full pipeline on a pair coloring; the result is homogeneous.
 
-    Each stage re-indexes its input set to 0..k-1, solves, and maps back.
-    The per-stage window defaults to ceil(size/3), or the given window
-    clipped to the stage size.
+    Every stage runs on the coloring's adjacency masks `f.adj`, over the
+    original vertex ids.  The cohesive family is R_x = adj[x].  EM runs on
+    the tournament x -> y iff (x < y and f(x,y) = 1) or (x > y and
+    f(x,y) = 0), whose out-mask is adj[x] ^ ((1 << x) - 1), with G0 as
+    the universe and the top w0 of G0 as the window; w0 defaults to
+    ceil(|G0|/3), or is the given window clipped to |G0|.  The linear
+    order of the transitive coloring on G1 ranks each vertex by its
+    in-degree within G1, and the monotone stage is the longest ascending
+    or descending run of those ranks.  `verify_trace` checks the result.
     """
-    if f.n < 1:
+    n = f.n
+    if n < 1:
         raise ValueError("the coloring needs at least one vertex")
+    adj = f.adj
 
-    coh = coh_solve(family_from_coloring(f), target=f.n)
+    coh = _coh_masks(n, adj, n)
     g0 = list(coh.chosen)
 
-    g_on_g0 = f.restrict(g0)
     w0 = min(window, len(g0)) if window is not None else default_window(len(g0))
-    em = em_solve(tournament_from_coloring(g_on_g0), w0)
-    g1 = [g0[a] for a in em.subset]
+    if w0 < 0:
+        raise ValueError(f"window must lie in [0, {len(g0)}]")
+    out = [adj[x] ^ ((1 << x) - 1) for x in range(n)]
+    _, chosen, steps, _ = _em_core(out, g0, _mask(g0), _window_mask(g0, w0))
+    g1 = [x for x in g0 if (chosen >> x) & 1]
 
-    g_on_g1 = f.restrict(g1)
-    order = order_from_transitive_coloring(g_on_g1)
-    ads = ads_solve(order)
-    h = [g1[a] for a in ads.sequence]
+    # L-rank: the number of G1 vertices beating x (x itself is in chosen
+    # and not in out[x]); distinct ranks are the score test for transitivity.
+    rank = [(chosen & ~out[x]).bit_count() - 1 for x in g1]
+    if len(set(rank)) != len(g1):
+        check = coloring_is_transitive(f, g1)
+        witness = tuple(g1.index(v) for v in check.witness)
+        raise ValueError(f"coloring is not transitive (witness {witness})")
+    direction, sequence, _, _ = _longest_monotone(rank)
+    h = tuple(g1[a] for a in sequence)
 
-    final_check = is_homogeneous(f, h)
     return SolverTrace(
-        n=f.n,
+        n=n,
         window=w0,
-        cohesive_set=tuple(g0),
+        cohesive_set=coh.chosen,
         cohesive_sides=coh.sides,
         cohesive_thresholds=coh.thresholds,
         transitive_set=tuple(g1),
-        transitive_steps=tuple((g0[x], side) for x, side, _ in em.steps),
-        monotone_direction=ads.direction,
-        monotone_set=tuple(h),
-        final_set=tuple(h),
-        final_color=final_check.color if final_check.ok else -1,
+        transitive_steps=tuple((x, side) for x, side, _ in steps),
+        monotone_direction=direction,
+        monotone_set=h,
+        final_set=h,
+        final_color=(adj[h[0]] >> h[1]) & 1 if len(h) >= 2 else 0,
     )
 
 
@@ -450,7 +493,12 @@ def verify_trace(trace: SolverTrace, f: PairColoring) -> TraceCheck:
     """Re-check every stage inclusion and defining property from scratch.
 
     Stages are checked in pipeline order — cohesive, transitive, monotone,
-    final — and the first failure is reported.
+    final — and the first failure is reported.  Every property is tested
+    on the coloring's adjacency masks `f.adj`; the first offending element
+    is the lowest bit of a mask of offenders, and `coloring_is_transitive`
+    names the witness triple once transitivity is known to fail.  The
+    monotone stage checks every pair of the final set, so homogeneity is
+    checked once, there.
     """
     n = f.n
     if trace.n != n:
@@ -460,23 +508,32 @@ def verify_trace(trace: SolverTrace, f: PairColoring) -> TraceCheck:
         return TraceCheck(False, "cohesive", "not an ascending subset of the universe")
     if len(trace.cohesive_sides) != n or len(trace.cohesive_thresholds) != n:
         return TraceCheck(False, "cohesive", "one side and threshold per vertex set required")
+    adj = f.adj
+    cmask = _mask(c)
     for i in range(n):
         side, thr = trace.cohesive_sides[i], trace.cohesive_thresholds[i]
-        for x in c:
-            if x < thr:
-                continue
-            member = x != i and f.color(i, x) == 1
-            if member != bool(side):
-                return TraceCheck(
-                    False, "cohesive",
-                    f"element {x} above threshold {thr} breaks side {side} of set {i}")
+        # the elements at or above the threshold; i itself is never in adj[i]
+        above = cmask if thr <= 0 else cmask >> thr << thr if thr < n else 0
+        bad = above & ~adj[i] if side else above & adj[i]
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            return TraceCheck(
+                False, "cohesive",
+                f"element {x} above threshold {thr} breaks side {side} of set {i}")
 
     g1 = list(trace.transitive_set)
     if not set(g1) <= set(c) or g1 != sorted(set(g1)):
         return TraceCheck(False, "transitive", "not a subset of the cohesive stage")
-    check = coloring_is_transitive(f, g1)
-    if not check.ok:
-        return TraceCheck(False, "transitive", f"not transitive, witness {check.witness}")
+    # score test on the tournament x -> y iff f(x,y) == (x < y): the set is
+    # transitive iff its out-degrees within the set are distinct
+    g1mask = _mask(g1)
+    seen = 0
+    for x in g1:
+        score = 1 << (g1mask & (adj[x] ^ ((1 << x) - 1))).bit_count()
+        if seen & score:
+            check = coloring_is_transitive(f, g1)
+            return TraceCheck(False, "transitive", f"not transitive, witness {check.witness}")
+        seen |= score
 
     h = list(trace.monotone_set)
     if not set(h) <= set(g1) or h != sorted(set(h)):
@@ -484,18 +541,19 @@ def verify_trace(trace: SolverTrace, f: PairColoring) -> TraceCheck:
     if trace.monotone_direction not in ("ascending", "descending"):
         return TraceCheck(False, "monotone", "unknown direction")
     want = 1 if trace.monotone_direction == "ascending" else 0
-    for i in range(len(h)):
-        for j in range(i + 1, len(h)):
-            if f.color(h[i], h[j]) != want:
-                return TraceCheck(
-                    False, "monotone",
-                    f"pair ({h[i]},{h[j]}) breaks {trace.monotone_direction} monotonicity")
+    hmask = _mask(h)
+    for x in h:
+        above = hmask & -(2 << x)
+        bad = above & ~adj[x] if want else above & adj[x]
+        if bad:
+            return TraceCheck(
+                False, "monotone",
+                f"pair ({x},{(bad & -bad).bit_length() - 1}) breaks "
+                f"{trace.monotone_direction} monotonicity")
 
     if list(trace.final_set) != h:
         return TraceCheck(False, "final", "final set differs from the monotone stage")
-    final = is_homogeneous(f, trace.final_set)
-    if not final.ok:
-        return TraceCheck(False, "final", f"not homogeneous, witness {final.witness}")
-    if final.color != trace.final_color:
+    # every pair of h has color `want`: h is homogeneous in that color
+    if (want if len(h) >= 2 else 0) != trace.final_color:
         return TraceCheck(False, "final", "recorded color disagrees with the checker")
     return TraceCheck(True)

@@ -4,9 +4,9 @@ instances and aggregate the outcomes into a Report.
 Exhaustive sweeps enumerate instance codes in increasing order (colorings
 and tournaments: the packed pair bits; orders: permutations in
 lexicographic order).  Sampled sweeps draw instance i from the documented
-generator with seed (base_seed + i) mod 2^64.  Rows beyond `max_rows` are
-dropped from the report but still counted, keeping memory flat on large
-sweeps.
+generator with seed (base_seed + i) mod 2^64.  Rows (and coloring traces)
+beyond `max_rows` are dropped from the report but still counted, keeping
+memory flat on large sweeps.
 
 The exhaustive tournament sweep checks the classical transitive-
 subtournament bound floor(log2 n) + 1 for every instance; for n <= 7 the
@@ -24,7 +24,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .generate import make_coloring, make_family, make_order, make_tournament
-from .ramsey.checkers import is_homogeneous, is_transitive
+from .ramsey.checkers import is_transitive
 from .ramsey.instances import (
     LinearOrderInstance,
     PairColoring,
@@ -143,10 +143,14 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
 
     Returns a Report whose `failures` counts instances where any checker
     failed.  mode is "exhaustive" or "sample" (the latter needs count and
-    seed).
+    seed); count and max_rows must be non-negative.
     """
     if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if max_rows < 0:
+        raise ValueError(f"max_rows must be non-negative, got {max_rows}")
     if mode == "sample" and (count <= 0 or seed is None):
         raise ValueError("sampled sweeps need count > 0 and a seed")
     if kind == "coloring":
@@ -174,17 +178,15 @@ def _sweep_coloring(n, mode, count, seed, window, max_rows, want_traces) -> Repo
         total = count
     for ident, coloring in instances:
         trace = rt22_solve(coloring, window)
-        homog = is_homogeneous(coloring, trace.final_set)
-        check = verify_trace(trace, coloring)
-        ok = homog.ok and check.ok
+        ok = verify_trace(trace, coloring).ok  # its final stage checks homogeneity
         if not ok:
             failures += 1
         if len(rows) < max_rows:
             rows.append((ident, len(trace.cohesive_set), len(trace.transitive_set),
                          len(trace.final_set), trace.final_color,
                          trace.monotone_direction, int(ok)))
-        if want_traces:
-            traces.append(trace.to_json())
+            if want_traces:
+                traces.append(trace.to_json())
     return Report(kind="coloring", n=n, mode=mode, seed=seed, columns=columns,
                   rows=rows, count=total, failures=failures,
                   truncated=total > len(rows), traces=traces)

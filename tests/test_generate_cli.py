@@ -135,6 +135,33 @@ def test_sweep_row_cap_keeps_counts():
     assert text.rstrip().endswith("# truncated")
 
 
+def test_sweep_traces_obey_the_row_cap():
+    full = sweep("coloring", 4, "sample", count=5, seed=1, want_traces=True)
+    capped = sweep("coloring", 4, "sample", count=5, seed=1, max_rows=2, want_traces=True)
+    assert len(full.traces) == 5
+    assert capped.traces == full.traces[:2] and capped.count == 5 and capped.truncated
+    assert sweep("coloring", 4, "exhaustive", max_rows=0, want_traces=True).traces == []
+    code, out, _ = run_cli("sweep", "--kind", "coloring", "--n", "4", "--count", "5",
+                           "--seed", "1", "--max-rows", "2", "--format", "trace")
+    assert code == 0 and out == emit(capped, "trace") and len(out.splitlines()) == 2
+
+
+def test_sweep_rejects_negative_limits():
+    with pytest.raises(ValueError, match="max_rows"):
+        sweep("coloring", 4, "exhaustive", max_rows=-5)
+    with pytest.raises(ValueError, match="count"):
+        sweep("tournament", 4, "exhaustive", count=-1)
+    with pytest.raises(ValueError, match="count"):
+        sweep("order", 4, "sample", count=-3, seed=1)
+    for argv in (("sweep", "--kind", "coloring", "--n", "4", "--count", "5", "--seed", "1",
+                  "--max-rows", "-5", "--format", "tsv"),
+                 ("ramsey", "sweep", "--kind", "order", "--n", "4", "--exhaustive",
+                  "--count", "-2")):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "non-negative" in err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -466,6 +466,57 @@ def test_cli_refuses_a_tower_past_the_depth_limit():
 
 
 # ---------------------------------------------------------------------------
+# the code-size limit of encode
+# ---------------------------------------------------------------------------
+
+def test_encode_refuses_codes_past_the_bit_limit_quickly():
+    import time
+
+    from epsilon0.ordinal import MAX_CODE_BITS, OrdinalCodeSizeError
+
+    assert issubclass(OrdinalCodeSizeError, ValueError)
+    # about fourfold in bits per level: tower 11 fits, tower 12 does not
+    widest = tower(ONE, 11)
+    code = encode(widest)
+    assert MAX_CODE_BITS // 4 < code.bit_length() <= MAX_CODE_BITS
+    assert decode(code) == widest
+    for height in (12, 20, MAX_DEPTH - 1):
+        started = time.process_time()
+        with pytest.raises(OrdinalCodeSizeError, match=str(MAX_CODE_BITS)):
+            encode(tower(ONE, height))
+        assert time.process_time() - started < 5
+    # wide values grow twofold per term and hit the same limit
+    wide = ZERO
+    for k in range(40):
+        wide = nat_add(wide, omega_pow(from_int(k)))
+    with pytest.raises(OrdinalCodeSizeError):
+        encode(wide)
+
+
+def test_cli_encode_past_the_digit_limit_and_the_bit_limit():
+    nine = format_ordinal(tower(ONE, 9))
+    done = _run_python("-m", "epsilon0.cli", "ord", "encode", nine)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == _decimal(encode(tower(ONE, 9)))
+    assert len(done.stdout.strip()) > sys.get_int_max_str_digits()
+    done = _run_python("-m", "epsilon0.cli", "ord", "encode", format_ordinal(tower(ONE, 20)))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "MAX_CODE_BITS" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def _decimal(i):
+    """Decimal text of i by repeated division, independent of str(int)."""
+    digits = []
+    while True:
+        i, r = divmod(i, 10)
+        digits.append("0123456789"[r])
+        if not i:
+            return "".join(reversed(digits))
+
+
+# ---------------------------------------------------------------------------
 # hashes do not depend on the process
 # ---------------------------------------------------------------------------
 

@@ -352,3 +352,284 @@ def test_verify_trace_stage_detection():
     bad_color = _mutate(trace, final_color=1 - trace.final_color)
     outcome = verify_trace(bad_color, f)
     assert not outcome.ok and outcome.stage == "final"
+
+
+# ---------------------------------------------------------------------------
+# mask-native pipeline against the restrict-based reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the pipeline as it ran before every stage moved
+# onto the coloring's adjacency masks: each stage re-indexes its set with
+# `PairColoring.restrict`, rebuilds a tournament and a linear order, and
+# the checks read one pair color at a time.
+
+def _ref_rt22_solve(f, window=None):
+    from epsilon0.ramsey import order_from_transitive_coloring, tournament_from_coloring
+    from epsilon0.ramsey.solvers import default_window
+
+    coh = coh_solve(family_from_coloring(f), target=f.n)
+    g0 = list(coh.chosen)
+    w0 = min(window, len(g0)) if window is not None else default_window(len(g0))
+    em = em_solve(tournament_from_coloring(f.restrict(g0)), w0)
+    g1 = [g0[a] for a in em.subset]
+    ads = ads_solve(order_from_transitive_coloring(f.restrict(g1)))
+    h = [g1[a] for a in ads.sequence]
+    final_check = is_homogeneous(f, h)
+    return SolverTrace(
+        n=f.n, window=w0,
+        cohesive_set=tuple(g0), cohesive_sides=coh.sides,
+        cohesive_thresholds=coh.thresholds,
+        transitive_set=tuple(g1),
+        transitive_steps=tuple((g0[x], side) for x, side, _ in em.steps),
+        monotone_direction=ads.direction, monotone_set=tuple(h), final_set=tuple(h),
+        final_color=final_check.color if final_check.ok else -1,
+    )
+
+
+def _ref_verify_trace(trace, f):
+    from epsilon0.ramsey import coloring_is_transitive
+
+    n = f.n
+    if trace.n != n:
+        return (False, "cohesive", "vertex count mismatch")
+    c = list(trace.cohesive_set)
+    if c != sorted(set(c)) or any(x < 0 or x >= n for x in c):
+        return (False, "cohesive", "not an ascending subset of the universe")
+    if len(trace.cohesive_sides) != n or len(trace.cohesive_thresholds) != n:
+        return (False, "cohesive", "one side and threshold per vertex set required")
+    for i in range(n):
+        side, thr = trace.cohesive_sides[i], trace.cohesive_thresholds[i]
+        for x in c:
+            if x < thr:
+                continue
+            member = x != i and f.color(i, x) == 1
+            if member != bool(side):
+                return (False, "cohesive",
+                        f"element {x} above threshold {thr} breaks side {side} of set {i}")
+    g1 = list(trace.transitive_set)
+    if not set(g1) <= set(c) or g1 != sorted(set(g1)):
+        return (False, "transitive", "not a subset of the cohesive stage")
+    check = coloring_is_transitive(f, g1)
+    if not check.ok:
+        return (False, "transitive", f"not transitive, witness {check.witness}")
+    h = list(trace.monotone_set)
+    if not set(h) <= set(g1) or h != sorted(set(h)):
+        return (False, "monotone", "not a subset of the transitive stage")
+    if trace.monotone_direction not in ("ascending", "descending"):
+        return (False, "monotone", "unknown direction")
+    want = 1 if trace.monotone_direction == "ascending" else 0
+    for i in range(len(h)):
+        for j in range(i + 1, len(h)):
+            if f.color(h[i], h[j]) != want:
+                return (False, "monotone",
+                        f"pair ({h[i]},{h[j]}) breaks {trace.monotone_direction} monotonicity")
+    if list(trace.final_set) != h:
+        return (False, "final", "final set differs from the monotone stage")
+    final = is_homogeneous(f, trace.final_set)
+    if not final.ok:
+        return (False, "final", f"not homogeneous, witness {final.witness}")
+    if final.color != trace.final_color:
+        return (False, "final", "recorded color disagrees with the checker")
+    return (True, None, "")
+
+
+def _verdict(trace, f):
+    check = verify_trace(trace, f)
+    return (check.ok, check.stage, check.detail)
+
+
+def test_adjacency_masks_match_colors():
+    for n in range(0, 9):
+        for i in range(40):
+            f = make_coloring(n, seed=1000 * n + i)
+            for x in range(n):
+                want = sum(1 << y for y in range(n) if y != x and f.color(x, y))
+                assert f.adj[x] == want
+            assert len(f.adj) == n and f.adj is f.adj
+
+
+def test_rt22_matches_reference_exhaustively_to_n6():
+    for n in range(1, 7):
+        for code in range(1 << pair_count(n)):
+            f = PairColoring(n, code)
+            assert rt22_solve(f) == _ref_rt22_solve(f), (n, code)
+
+
+def test_rt22_matches_reference_on_seeded_colorings():
+    for i in range(240):
+        n = 7 + i % 42
+        f = make_coloring(n, seed=7919 * i + 3)
+        for window in (None, 0, 1, 2, 5, n):
+            trace = rt22_solve(f, window)
+            assert trace == _ref_rt22_solve(f, window), (n, i, window)
+            assert _verdict(trace, f) == (True, None, "")
+
+
+def test_rt22_negative_window_rejected_like_em_solve():
+    f = make_coloring(9, seed=4)
+    with pytest.raises(ValueError) as err:
+        rt22_solve(f, window=-1)
+    with pytest.raises(ValueError) as ref_err:
+        _ref_rt22_solve(f, window=-1)
+    assert str(err.value) == str(ref_err.value)
+
+
+def _criterion7_mutations(base, outside):
+    from dataclasses import replace
+
+    inside = base.cohesive_set
+    return [
+        replace(base, cohesive_set=(inside[1], inside[0]) + inside[2:]),
+        replace(base, cohesive_sides=base.cohesive_sides[:-1]),
+        replace(base, cohesive_thresholds=(0,) * base.n,
+                cohesive_sides=tuple(1 - s for s in base.cohesive_sides)),
+        replace(base, transitive_set=tuple(sorted(set(base.transitive_set) | {outside[0]}))),
+        replace(base, monotone_set=tuple(sorted(set(base.monotone_set) | {outside[0]})),
+                final_set=tuple(sorted(set(base.monotone_set) | {outside[0]}))),
+        replace(base, monotone_direction="sideways"),
+        replace(base, monotone_direction=(
+            "descending" if base.monotone_direction == "ascending" else "ascending")),
+        replace(base, final_set=base.final_set[:-1]),
+        replace(base, final_set=base.final_set + (outside[0],)),
+        replace(base, final_color=1 - base.final_color),
+    ]
+
+
+def test_verify_trace_matches_reference_on_criterion7_mutations():
+    f = make_coloring(9, seed=2718)
+    base = rt22_solve(f)
+    outside = [x for x in range(9) if x not in base.cohesive_set]
+    for mutated in _criterion7_mutations(base, outside):
+        verdict = _verdict(mutated, f)
+        assert not verdict[0]
+        assert verdict == _ref_verify_trace(mutated, f)
+
+
+def _corruptions(trace, rng):
+    """Seeded corruptions of every field of a trace."""
+    from dataclasses import replace
+
+    n = trace.n
+
+    def edit(values):
+        values = list(values)
+        kind = rng.below(6)
+        if kind == 0 and values:
+            del values[rng.below(len(values))]
+        elif kind == 1:
+            values.insert(rng.below(len(values) + 1), rng.below(n + 2) - 1)
+        elif kind == 2 and len(values) >= 2:
+            i, j = rng.below(len(values)), rng.below(len(values))
+            values[i], values[j] = values[j], values[i]
+        elif kind == 3 and values:
+            values[rng.below(len(values))] = rng.below(n + 4) - 2
+        elif kind == 4:
+            values = sorted(set(values) ^ {rng.below(n)})
+        else:
+            values = values[::-1]
+        return tuple(values)
+
+    yield replace(trace, n=trace.n + rng.below(3) - 1)
+    yield replace(trace, window=rng.below(n + 1))
+    for name in ("cohesive_set", "cohesive_sides", "cohesive_thresholds",
+                 "transitive_set", "monotone_set", "final_set"):
+        yield replace(trace, **{name: edit(getattr(trace, name))})
+    yield replace(trace, transitive_steps=tuple(reversed(trace.transitive_steps)))
+    yield replace(trace, monotone_direction=("ascending", "descending", "up")[rng.below(3)])
+    yield replace(trace, final_color=rng.below(4) - 1)
+    # a stage and everything after it replaced by one edited set
+    shared = edit(trace.transitive_set)
+    yield replace(trace, transitive_set=shared, monotone_set=shared, final_set=shared)
+    shared = edit(trace.monotone_set)
+    yield replace(trace, monotone_set=shared, final_set=shared)
+    yield replace(trace, cohesive_thresholds=tuple(rng.below(n + 3) - 1 for _ in range(n)))
+    yield replace(trace, cohesive_sides=tuple(rng.below(3) for _ in range(n)))
+
+
+def test_verify_trace_matches_reference_on_random_corruptions():
+    from epsilon0.generate import SplitMix64
+
+    rng = SplitMix64(31337)
+    failures = set()
+    for i in range(400):
+        n = 3 + i % 14
+        f = make_coloring(n, seed=i)
+        trace = rt22_solve(f, (None, 1, 2)[i % 3])
+        for bad in _corruptions(trace, rng):
+            verdict = _verdict(bad, f)
+            assert verdict == _ref_verify_trace(bad, f), (i, bad)
+            failures.add(verdict[1])
+    assert failures == {None, "cohesive", "transitive", "monotone", "final"}
+
+
+def test_verify_trace_own_vertex_is_never_a_member_of_its_set():
+    from dataclasses import replace
+
+    # All pairs colored 1: every other vertex lies in R_i, but i itself
+    # does not, so side 1 fails at i once the threshold is at or below i.
+    f = PairColoring(4, (1 << pair_count(4)) - 1)
+    trace = rt22_solve(f)
+    assert _verdict(trace, f) == (True, None, "")
+    bad = replace(trace, cohesive_sides=(1,) * 4, cohesive_thresholds=(4, 4, 0, 4))
+    expected = (False, "cohesive", "element 2 above threshold 0 breaks side 1 of set 2")
+    assert _ref_verify_trace(bad, f) == expected
+    assert _verdict(bad, f) == expected
+    ok = replace(trace, cohesive_sides=(1,) * 4, cohesive_thresholds=(4, 4, 3, 4))
+    assert _verdict(ok, f) == _ref_verify_trace(ok, f) == (True, None, "")
+
+
+def test_verify_trace_transitive_failure_names_the_reference_witness():
+    from dataclasses import replace
+
+    # Claim the whole universe as the transitive stage (thresholds n excuse
+    # every cohesive side): it fails exactly on the intransitive colorings.
+    stages = set()
+    for code in range(1 << pair_count(5)):
+        f = PairColoring(5, code)
+        wide = replace(rt22_solve(f), cohesive_set=tuple(range(5)),
+                       cohesive_thresholds=(5,) * 5, transitive_set=tuple(range(5)))
+        verdict = _verdict(wide, f)
+        assert verdict == _ref_verify_trace(wide, f)
+        stages.add(verdict[1])
+    assert "transitive" in stages
+
+
+# sha256 of emit() on coloring sweeps, pinned from the restrict-based pipeline.
+GOLDEN = {
+    ("exhaustive", 5, None, "summary"):
+        "70c56adac250f63dda4a000dcf30aaa3fad9aa273e578eb5657798907bfff613",
+    ("exhaustive", 5, None, "tsv"):
+        "65ac60648cfc32fc5be49d6d7e53ffabe26c65febe8ef64f8b85336c2f14463b",
+    ("exhaustive", 5, None, "trace"):
+        "490540c03ca320b7a3142223d09a8ee7e9b9f0d41451336d15cafbe62e1b64b9",
+    ("sample", 9, None, "tsv"):
+        "d868f8fcafce7a6c645a72ca0a9cbee0f4947401cd6a9053acaf2fac2e5dc2af",
+    ("sample", 9, None, "trace"):
+        "1d7a0795408bba89e1077b64f0526b2bbfb0572457e52016e555c43dab0dddfe",
+    ("sample", 16, None, "tsv"):
+        "60bb77675f2140485effe171156971e41fc003d52c4c6d8be96979ab4d24bde9",
+    ("sample", 16, None, "trace"):
+        "966032b0a4d578a1a86b4ff5ebb7b088ebd462fe2444ce49ed424cdb693f58fa",
+    ("sample", 32, None, "tsv"):
+        "4764592d6913c400f07064af6e236527f9bae052c0f9f7939bc1d299635732f4",
+    ("sample", 32, None, "trace"):
+        "5bbad7417be3b5336099091ecce8378da1452ce11ee5a5a1a432009e94ff8852",
+    ("sample", 12, 2, "tsv"):
+        "6b48a312f17266541dd9ae2672d646b4552acb8dd6c75668514d214c1562efbe",
+    ("sample", 12, 2, "trace"):
+        "d9fa2897ee71f04333601c36d801ce8f018e9b213c55cecec8c21cc3ca50eca7",
+}
+
+
+def test_coloring_sweep_reports_match_golden_digests():
+    import hashlib
+
+    from epsilon0.report import emit
+    from epsilon0.sweep import sweep
+
+    for (mode, n, window), fmts in itertools.groupby(GOLDEN, key=lambda k: k[:3]):
+        kwargs = {"count": 64, "seed": 7} if mode == "sample" else {}
+        report = sweep("coloring", n, mode, window=window, want_traces=True, **kwargs)
+        for key in fmts:
+            digest = hashlib.sha256(emit(report, key[3]).encode()).hexdigest()
+            assert digest == GOLDEN[key], key
