@@ -30,6 +30,7 @@ from .ordinal import (
     nat_mul_k,
     nat_mul_omega,
     omega_pow,
+    parse_index,
     parse_ordinal,
     std_add,
     tower,
@@ -85,7 +86,7 @@ def _cmd_ord(args) -> int:
             # limit; encode bounds them by MAX_CODE_BITS.
             print(Decimal(encode(parse_ordinal(args.a))))
         elif op == "decode":
-            print(format_ordinal(decode(int(args.a))))
+            print(format_ordinal(decode(parse_index(args.a))))
     except (OrdinalSyntaxError, InvalidIndexError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
@@ -218,7 +219,12 @@ def parse_family(text: str) -> SetFamily:
     """Family file: line 1 `n=<int> m=<int>`, then one set per line as
     space-separated elements, `-` for the empty set."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = dict(part.split("=", 1) for part in lines[0].split())
+    if not lines:
+        raise ValueError("missing the 'n=<int> m=<int>' header line")
+    header = dict(part.partition("=")[::2] for part in lines[0].split())
+    for key in ("n", "m"):
+        if key not in header:
+            raise ValueError(f"family header {lines[0]!r} has no '{key}=<int>'")
     n, m = int(header["n"]), int(header["m"])
     sets = []
     for ln in lines[1:m + 1]:

@@ -35,7 +35,7 @@ term passes MAX_CODE_BITS bits.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, log10
 from typing import Iterable, Iterator, Tuple, Union
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "OrdinalSyntaxError",
     "from_int", "compare", "std_add", "nat_add", "nat_mul_k",
     "nat_mul_omega", "omega_pow", "tower",
-    "encode", "decode", "pair", "unpair",
+    "encode", "decode", "parse_index", "pair", "unpair",
     "parse_ordinal", "format_ordinal", "is_below",
 ]
 
@@ -350,6 +350,40 @@ def encode(a: Ordinal) -> OrdinalIndex:
         if code.bit_length() > MAX_CODE_BITS:
             raise OrdinalCodeSizeError(
                 f"the integer code exceeds the limit of MAX_CODE_BITS = {MAX_CODE_BITS} bits")
+    return code
+
+
+#: Decimal digits of 2^MAX_CODE_BITS, the most a code within the limit has.
+_MAX_CODE_DIGITS = int(MAX_CODE_BITS * log10(2)) + 1
+
+
+def _digits_to_int(digits: str) -> int:
+    """int(digits) past the interpreter's int/str digit limit (which is
+    at least 640 when set): halves are converted and joined, which keeps
+    the cost near that of multiplication instead of quadratic."""
+    if len(digits) <= 512:
+        return int(digits)
+    half = len(digits) // 2
+    return _digits_to_int(digits[:-half]) * 10 ** half + _digits_to_int(digits[-half:])
+
+
+def parse_index(text: str) -> OrdinalIndex:
+    """The integer code written in decimal in `text`, read without the
+    interpreter's int/str digit limit.  Raises OrdinalCodeSizeError, before
+    converting, when the digit count alone puts the code past
+    MAX_CODE_BITS bits (and after, when its value does), and
+    InvalidIndexError when `text` is not a non-negative decimal integer."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise InvalidIndexError(f"index must be a non-negative decimal integer, got {text[:40]!r}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _MAX_CODE_DIGITS:
+        raise OrdinalCodeSizeError(
+            f"a {len(digits)}-digit index exceeds the limit of MAX_CODE_BITS = {MAX_CODE_BITS} bits")
+    code = _digits_to_int(digits)
+    if code.bit_length() > MAX_CODE_BITS:
+        raise OrdinalCodeSizeError(
+            f"the index exceeds the limit of MAX_CODE_BITS = {MAX_CODE_BITS} bits")
     return code
 
 

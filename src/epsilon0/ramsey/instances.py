@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import FrozenSet, Iterator, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "pair_index", "pair_count", "all_pairs",
@@ -170,7 +170,7 @@ class LinearOrderInstance:
     ranking: Tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.ranking) != list(range(self.n)):
+        if len(self.ranking) != self.n or sorted(self.ranking) != list(range(self.n)):
             raise ValueError("ranking must be a permutation of [0, n)")
 
     def less(self, x: int, y: int) -> bool:
@@ -207,10 +207,26 @@ def _parse_header(line: str) -> int:
     key, _, value = line.strip().partition("=")
     if key != "n":
         raise ValueError(f"expected 'n=<int>' header, got {line!r}")
-    return int(value)
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return n
 
 
-def _parse_bits(line: str, n: int) -> int:
+def _parse_file(text: str) -> Tuple[int, Optional[str]]:
+    """n from the header line and the line after it (None when the file
+    ends at the header); blank lines are skipped."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("missing the 'n=<int>' header line")
+    return _parse_header(lines[0]), (lines[1] if len(lines) > 1 else None)
+
+
+def _parse_bits(line: Optional[str], n: int) -> int:
+    if n <= 1:
+        return 0
+    if line is None:
+        raise ValueError(f"missing the line of {pair_count(n)} pair bits after the header")
     line = line.strip()
     if len(line) != pair_count(n) or set(line) - {"0", "1"}:
         raise ValueError(f"expected {pair_count(n)} bits of 0/1")
@@ -226,9 +242,8 @@ def _format_bits(bits: int, n: int) -> str:
 
 
 def parse_coloring(text: str) -> PairColoring:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = _parse_header(lines[0])
-    return PairColoring(n, _parse_bits(lines[1] if n > 1 else "", n))
+    n, body = _parse_file(text)
+    return PairColoring(n, _parse_bits(body, n))
 
 
 def format_coloring(f: PairColoring) -> str:
@@ -236,9 +251,8 @@ def format_coloring(f: PairColoring) -> str:
 
 
 def parse_tournament(text: str) -> Tournament:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = _parse_header(lines[0])
-    return Tournament.from_bits(n, _parse_bits(lines[1] if n > 1 else "", n))
+    n, body = _parse_file(text)
+    return Tournament.from_bits(n, _parse_bits(body, n))
 
 
 def format_tournament(r: Tournament) -> str:
@@ -246,9 +260,10 @@ def format_tournament(r: Tournament) -> str:
 
 
 def parse_order(text: str) -> LinearOrderInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = _parse_header(lines[0])
-    ranking = tuple(int(tok) for tok in lines[1].split()) if n else ()
+    n, body = _parse_file(text)
+    if n and body is None:
+        raise ValueError(f"missing the ranking line of {n} positions after the header")
+    ranking = tuple(int(tok) for tok in body.split()) if n else ()
     return LinearOrderInstance(n, ranking)
 
 

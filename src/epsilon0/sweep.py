@@ -8,11 +8,16 @@ generator with seed (base_seed + i) mod 2^64.  Rows (and coloring traces)
 beyond `max_rows` are dropped from the report but still counted, keeping
 memory flat on large sweeps.
 
-The exhaustive tournament sweep checks the classical transitive-
-subtournament bound floor(log2 n) + 1 for every instance; for n <= 7 the
-bound is 3 or less and is evaluated as a vectorized search for a
-transitive triple (a subset of a transitive set is transitive, so
-"maximum >= k" and "some k-subset is transitive" agree).
+The exhaustive tournament sweep runs as numpy passes over chunks of
+_TOURNAMENT_CHUNK codes, one uint8 out-mask per vertex and code (n <= 8
+is all that EXHAUSTIVE_PAIR_LIMIT admits).  Besides the EM result it
+checks the classical transitive-subtournament bound floor(log2 n) + 1 on
+every code, by a rule per bound (a subset of a transitive set is
+transitive, so "maximum >= k" and "some k-subset is transitive" agree):
+
+* bound <= 2: n >= bound;
+* bound 3 (n = 4..7): some vertex beats two others;
+* bound 4 (n = 8): some two vertices both beat the same two others.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ from .ramsey.instances import (
     LinearOrderInstance,
     PairColoring,
     SetFamily,
-    Tournament,
     pair_count,
-    pair_index,
 )
-from .ramsey.oracles import has_transitive_of_size, is_transitive_mask
+from .ramsey.oracles import has_transitive_of_size
 from .ramsey.solvers import (
     CohResult,
+    _window_mask,
     ads_solve,
     coh_solve,
     default_window,
@@ -75,21 +79,83 @@ def verify_cohesive(family: SetFamily, result: CohResult) -> bool:
     return True
 
 
-def exhaustive_triple_ok(n: int) -> np.ndarray:
-    """For every n-vertex tournament code: does a transitive triple exist?
+#: Codes per numpy chunk of an exhaustive tournament sweep.
+_TOURNAMENT_CHUNK = 1 << 16
 
-    Vectorized over all 2^C(n,2) codes; requires n >= 3.
-    """
-    total = 1 << pair_count(n)
-    codes = np.arange(total, dtype=np.uint32)
-    ok = np.zeros(total, dtype=bool)
-    for a, b, c in itertools.combinations(range(n), 3):
-        rab = ((codes >> pair_index(a, b, n)) & 1).astype(np.uint8)
-        rbc = ((codes >> pair_index(b, c, n)) & 1).astype(np.uint8)
-        rac = ((codes >> pair_index(a, c, n)) & 1).astype(np.uint8)
-        cyclic = (rab & rbc & (1 - rac)) | ((1 - rab) & (1 - rbc) & rac)
-        ok |= cyclic == 0
-    return ok
+#: Set bits of every uint8 value (np.bitwise_count needs numpy >= 2).
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def _out_mask_array(n: int, codes: np.ndarray) -> np.ndarray:
+    """Out-masks of the tournaments with the given pair codes: row x holds
+    out[x] for every code, as uint8 (n <= 8)."""
+    out = np.zeros((n, len(codes)), dtype=np.uint8)
+    for i, (x, y) in enumerate(itertools.combinations(range(n), 2)):
+        bit = ((codes >> i) & 1).astype(np.uint8)
+        out[x] |= bit << y
+        out[y] |= (bit ^ 1) << x
+    return out
+
+
+def _score_ok(out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """is_transitive_mask per code: the within-`mask` out-degrees of the
+    members are pairwise distinct, i.e. as many distinct degrees are seen
+    as there are members."""
+    seen = np.zeros_like(mask)
+    for v, row in enumerate(out):
+        member = (mask >> v) & 1
+        seen |= (np.uint8(1) << _POPCOUNT.take(row & mask)) * member
+    return _POPCOUNT.take(seen) == _POPCOUNT.take(mask)
+
+
+def _has_transitive(out: np.ndarray, k: int) -> np.ndarray:
+    """Per code: does the tournament have a transitive subtournament on k
+    vertices?  A transitive triple is a vertex and two it beats; a
+    transitive quadruple is two vertices (its top two, oriented either
+    way) and two that both beat.  k <= 4."""
+    n = len(out)
+    if k <= 2:
+        return np.full(out.shape[1], n >= k)
+    if k == 3:
+        return ((out & (out - np.uint8(1))) != 0).any(axis=0)    # two set bits
+    if k == 4:
+        ok = np.zeros(out.shape[1], dtype=bool)
+        for x, y in itertools.combinations(range(n), 2):
+            common = out[x] & out[y]
+            ok |= (common & (common - np.uint8(1))) != 0
+        return ok
+    raise ValueError(f"no vectorized rule for transitive subsets of size {k}")
+
+
+def _tournament_chunk(n: int, codes: np.ndarray, w: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """em_solve_masks, the transitivity of its result and the bound check,
+    over an array of pair codes at once: returns (chosen masks as uint8,
+    transitive, bound_ok).  Both EM passes take the vertices in the same
+    order as the scalar `_em_core`, all codes in step."""
+    out = _out_mask_array(n, codes)
+    wmask = _window_mask(range(n), w)
+    reservoir = np.full(len(codes), (1 << n) - 1, dtype=np.uint8)
+    chosen = np.zeros(len(codes), dtype=np.uint8)
+    for x, row in enumerate(out):
+        rest = np.uint8(wmask & ~(1 << x))
+        one = (row & rest) == 0                   # every window vertex beats x
+        zero = ~one & ((~row & rest) == 0)        # x beats every window vertex
+        take = ((reservoir >> x) & 1).astype(bool) & (one | zero)
+        keep = np.where(zero, row, ~row) & np.uint8(0xFF & -(2 << x))
+        reservoir = np.where(take, reservoir & keep, reservoir)
+        chosen |= np.uint8(1 << x) * take
+    for x in range(n):
+        candidate = chosen | np.uint8(1 << x)
+        chosen = np.where(_score_ok(out, candidate), candidate, chosen)
+    return chosen, _score_ok(out, chosen), _has_transitive(out, transitive_bound(n))
+
+
+def exhaustive_triple_ok(n: int) -> np.ndarray:
+    """For every n-vertex tournament code: does a transitive triple exist
+    (some vertex beats two others)?"""
+    codes = np.arange(1 << pair_count(n), dtype=np.uint32)
+    return _has_transitive(_out_mask_array(n, codes), 3)
 
 
 class _TournamentCodec:
@@ -197,31 +263,25 @@ def _sweep_tournament(n, mode, count, seed, window, max_rows) -> Report:
     rows: List[Tuple] = []
     failures = 0
     w = window if window is not None else default_window(n)
-    bound = transitive_bound(n)
     if mode == "exhaustive":
         _check_exhaustive(n)
         total = 1 << pair_count(n)
-        codec = _TournamentCodec(n)
-        triple_ok = exhaustive_triple_ok(n) if 3 <= n and bound == 3 else None
-        for code in range(total):
-            out = codec.out_masks(code)
-            chosen, _, _ = em_solve_masks(n, out, w)
-            transitive = is_transitive_mask(out, chosen)
-            if triple_ok is not None:
-                b_ok = bool(triple_ok[code])
-            elif bound <= 2:
-                b_ok = n >= bound
-            else:
-                b_ok = has_transitive_of_size(Tournament(n, tuple(out)), bound)
-            ok = transitive and b_ok
-            if not ok:
-                failures += 1
-            if len(rows) < max_rows:
-                rows.append((code, chosen.bit_count(), int(transitive), int(b_ok), int(ok)))
+        for lo in range(0, total, _TOURNAMENT_CHUNK):
+            codes = np.arange(lo, min(lo + _TOURNAMENT_CHUNK, total), dtype=np.uint32)
+            chosen, transitive, b_ok = _tournament_chunk(n, codes, w)
+            ok = transitive & b_ok
+            failures += len(codes) - int(np.count_nonzero(ok))
+            room = min(max_rows - len(rows), len(codes))
+            if room > 0:
+                rows.extend(zip(codes[:room].tolist(), _POPCOUNT.take(chosen[:room]).tolist(),
+                                transitive[:room].astype(np.uint8).tolist(),
+                                b_ok[:room].astype(np.uint8).tolist(),
+                                ok[:room].astype(np.uint8).tolist()))
         return Report(kind="tournament", n=n, mode=mode, seed=seed, columns=columns,
                       rows=rows, count=total, failures=failures,
                       truncated=total > len(rows))
     total = count
+    bound = transitive_bound(n)
     for ident, s in _sample_seeds(seed, count):
         tournament = make_tournament(n, s)
         chosen, _, _ = em_solve_masks(n, tournament.out, w)

@@ -516,6 +516,52 @@ def _decimal(i):
             return "".join(reversed(digits))
 
 
+def test_cli_decode_reads_back_what_encode_printed():
+    nine = tower(ONE, 9)
+    done = _run_python("-m", "epsilon0.cli", "ord", "encode", format_ordinal(nine))
+    assert done.returncode == 0, done.stderr
+    code = done.stdout.strip()
+    assert len(code) > sys.get_int_max_str_digits()
+    done = _run_python("-m", "epsilon0.cli", "ord", "decode", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == format_ordinal(nine) + "\n"
+
+
+def test_cli_decode_refuses_an_index_past_the_bit_limit_quickly():
+    import time
+
+    from epsilon0.ordinal import MAX_CODE_BITS, OrdinalCodeSizeError, parse_index
+
+    started = time.process_time()
+    with pytest.raises(OrdinalCodeSizeError, match="MAX_CODE_BITS"):
+        parse_index("7" * 400_000)
+    assert time.process_time() - started < 1
+    started = time.process_time()
+    with pytest.raises(OrdinalCodeSizeError, match="MAX_CODE_BITS"):
+        # as many digits as 2^MAX_CODE_BITS has, so converted, then refused
+        parse_index("9" * 315_653)
+    assert time.process_time() - started < 5
+    assert parse_index("1" + "0" * 9999) == 10 ** 9999
+    assert parse_index(" 0042 ") == 42
+    for bad in ("", "-1", "+3", "1e5", "4.0", "\u0661"):
+        with pytest.raises(InvalidIndexError):
+            parse_index(bad)
+    # in process: one argument of a new process holds at most 128 KiB on Linux
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    from epsilon0.cli import main
+
+    out, err = StringIO(), StringIO()
+    started = time.process_time()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["ord", "decode", "7" * 400_000])
+    assert time.process_time() - started < 1
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and "MAX_CODE_BITS" in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # hashes do not depend on the process
 # ---------------------------------------------------------------------------
