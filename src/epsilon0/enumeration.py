@@ -237,6 +237,9 @@ class RankAssignment:
     rank: Mapping[Node, Ordinal]
     bound: Ordinal
 
+    def __post_init__(self):
+        self.check_bounds()
+
     def get(self, node: Node) -> Ordinal:
         try:
             return self.rank[node]
@@ -348,10 +351,17 @@ def parse_node(text: str) -> Node:
     return tuple(int(part) for part in text.split("."))
 
 
+def _value_after_eq(line: str, lineno: int, form: str) -> str:
+    if "=" not in line:
+        raise ValueError(f"line {lineno}: expected '{form}', got {line!r}")
+    return line.split("=", 1)[1]
+
+
 def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignment, Ordinal]:
     """Parse the stage-block format; returns the replayed enumeration, the
     rank assignment, and the rank bound (`bound=<ordinal>` header line,
-    defaulting to w)."""
+    defaulting to w).  Malformed lines, and ranks not below the bound,
+    raise ValueError."""
     enum = MonotoneEnumeration.initial()
     ranks: Dict[Node, Ordinal] = {}
     bound = OMEGA
@@ -362,16 +372,19 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
         if not line or line.startswith("#"):
             continue
         if line.startswith("bound"):
-            bound = parse_ordinal(line.split("=", 1)[1])
+            bound = parse_ordinal(_value_after_eq(line, lineno, "bound=<ordinal>"))
         elif line.startswith("root"):
-            ranks[ROOT] = parse_ordinal(line.split("=", 1)[1])
+            ranks[ROOT] = parse_ordinal(_value_after_eq(line, lineno, "root rank=<ordinal>"))
         elif line.startswith("stage"):
             if pending is not None:
                 result = step(enum, pending)
                 if isinstance(result, StepRejection):
                     raise ValueError(f"stage rejected before line {lineno}: {result}")
                 enum = result
-            declared = int(line.split()[1])
+            try:
+                declared = int(line.split()[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"line {lineno}: expected 'stage <int>', got {line!r}") from None
             if declared != expected_stage:
                 raise ValueError(f"line {lineno}: expected stage {expected_stage}, got {declared}")
             expected_stage += 1
@@ -380,6 +393,9 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
             if pending is None:
                 raise ValueError(f"line {lineno}: 'add' before any 'stage'")
             fields = line.split()
+            if len(fields) < 2:
+                raise ValueError(
+                    f"line {lineno}: expected 'add <node> [rank=<ordinal>]', got {line!r}")
             node = parse_node(fields[1])
             rank = None
             for extra in fields[2:]:

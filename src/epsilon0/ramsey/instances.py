@@ -11,6 +11,8 @@ File formats (one instance per file):
   string of '0'/'1' characters in pair order
 * order: line 1 `n=<int>`, line 2 the ranking as a space-separated
   permutation of [0, n), i.e. the L-position of each vertex
+* family: line 1 `n=<int> m=<int>`, then one set per line as
+  space-separated elements, `-` for the empty set
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "parse_coloring", "format_coloring",
     "parse_tournament", "format_tournament",
     "parse_order", "format_order",
+    "parse_family", "format_family",
 ]
 
 
@@ -133,15 +136,12 @@ class Tournament:
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "Tournament":
-        """bit 1 at pair (x, y), x < y, means the edge x -> y."""
-        out = [0] * n
-        for x in range(n):
-            for y in range(x + 1, n):
-                if (bits >> pair_index(x, y, n)) & 1:
-                    out[x] |= 1 << y
-                else:
-                    out[y] |= 1 << x
-        return cls(n, tuple(out))
+        """bit 1 at pair (x, y), x < y, means the edge x -> y: x beats the
+        y above it with f(x, y) = 1 and the y below it with f(y, x) = 0,
+        so out[x] = adj[x] ^ ((1 << x) - 1) over the coloring of `bits`.
+        Raises ValueError for bits outside the C(n,2)-bit range."""
+        adj = PairColoring(n, bits).adj
+        return cls(n, tuple(adj[x] ^ ((1 << x) - 1) for x in range(n)))
 
     def to_bits(self) -> int:
         bits = 0
@@ -269,3 +269,29 @@ def parse_order(text: str) -> LinearOrderInstance:
 
 def format_order(order: LinearOrderInstance) -> str:
     return f"n={order.n}\n{' '.join(str(r) for r in order.ranking)}\n"
+
+
+def parse_family(text: str) -> SetFamily:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("missing the 'n=<int> m=<int>' header line")
+    header = dict(part.partition("=")[::2] for part in lines[0].split())
+    for key in ("n", "m"):
+        if key not in header:
+            raise ValueError(f"family header {lines[0]!r} has no '{key}=<int>'")
+    n, m = int(header["n"]), int(header["m"])
+    if n < 0 or m < 0:
+        raise ValueError(f"n and m must be non-negative, got n={n} m={m}")
+    sets = []
+    for ln in lines[1:m + 1]:
+        sets.append(frozenset() if ln == "-" else frozenset(int(t) for t in ln.split()))
+    if len(sets) != m:
+        raise ValueError(f"expected {m} set lines, found {len(sets)}")
+    return SetFamily(n, tuple(sets))
+
+
+def format_family(family: SetFamily) -> str:
+    lines = [f"n={family.n} m={len(family.sets)}"]
+    for s in family.sets:
+        lines.append(" ".join(str(x) for x in sorted(s)) if s else "-")
+    return "\n".join(lines) + "\n"

@@ -84,9 +84,6 @@ def is_transitive_mask(out: Sequence[int], mask: int) -> bool:
     return True
 
 
-_is_transitive_mask = is_transitive_mask
-
-
 def brute_max_transitive(r: Tournament) -> Tuple[int, FrozenSet[int]]:
     """Exact maximum size of a transitive subtournament, with a witness.
 
@@ -108,7 +105,7 @@ def brute_max_transitive(r: Tournament) -> Tuple[int, FrozenSet[int]]:
             if size + 1 + (n - v - 1) <= best_size:
                 break
             new_mask = mask | (1 << v)
-            if _is_transitive_mask(out, new_mask):
+            if is_transitive_mask(out, new_mask):
                 extend(new_mask, size + 1, v + 1)
 
     extend(0, 0, 0)
@@ -161,7 +158,7 @@ def has_transitive_of_size(r: Tournament, k: int) -> bool:
             if size + (n - v) < k:
                 break
             new_mask = mask | (1 << v)
-            if _is_transitive_mask(out, new_mask) and extend(new_mask, size + 1, v + 1):
+            if is_transitive_mask(out, new_mask) and extend(new_mask, size + 1, v + 1):
                 return True
         return False
 

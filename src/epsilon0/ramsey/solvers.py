@@ -42,7 +42,6 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .checkers import coloring_is_transitive
 from .instances import LinearOrderInstance, PairColoring, SetFamily, Tournament
-from .oracles import is_transitive_mask
 
 __all__ = [
     "Classification", "limit_classification",
@@ -204,6 +203,21 @@ class EmResult:
     completed: Tuple[int, ...]  # vertices added by the closure pass
 
 
+def _score_ok(out: Sequence[int], mask: int) -> bool:
+    """The sub-tournament on `mask` is transitive: its within-set
+    out-degrees are pairwise distinct (the score test)."""
+    seen = 0
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        score = 1 << (out[v] & mask).bit_count()
+        if seen & score:
+            return False
+        seen |= score
+    return True
+
+
 def _em_core(out: Sequence[int], verts: Sequence[int], universe: int,
              wmask: int) -> Tuple[List[int], int, List[Tuple[int, int, int]], List[int]]:
     """The EM passes over the ascending vertex ids `verts` (whose mask is
@@ -229,7 +243,7 @@ def _em_core(out: Sequence[int], verts: Sequence[int], universe: int,
         if (chosen >> x) & 1:
             continue
         candidate = chosen | (1 << x)
-        if is_transitive_mask(out, candidate):
+        if _score_ok(out, candidate):
             chosen = candidate
             completed.append(x)
     return sides, chosen, steps, completed
@@ -419,14 +433,6 @@ class SolverTrace:
             final_set=tuple(data["final_set"]),
             final_color=data["final_color"],
         )
-
-
-def family_from_coloring(f: PairColoring) -> SetFamily:
-    """R_x = {y : f(x, y) = 1}, one set per vertex."""
-    sets = []
-    for x in range(f.n):
-        sets.append(frozenset(y for y in range(f.n) if y != x and f.color(x, y)))
-    return SetFamily(f.n, tuple(sets))
 
 
 def rt22_solve(f: PairColoring, window: Optional[int] = None) -> SolverTrace:

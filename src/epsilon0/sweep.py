@@ -158,38 +158,6 @@ def exhaustive_triple_ok(n: int) -> np.ndarray:
     return _has_transitive(_out_mask_array(n, codes), 3)
 
 
-class _TournamentCodec:
-    """Chunked lookup tables turning a packed pair code into out-masks."""
-
-    def __init__(self, n: int):
-        self.n = n
-        bits = pair_count(n)
-        self.chunks = [(lo, min(lo + 7, bits)) for lo in range(0, bits, 7)]
-        pairs = list(itertools.combinations(range(n), 2))
-        self.tables = []
-        for lo, hi in self.chunks:
-            table = []
-            for value in range(1 << (hi - lo)):
-                out = [0] * n
-                for offset in range(hi - lo):
-                    x, y = pairs[lo + offset]
-                    if (value >> offset) & 1:
-                        out[x] |= 1 << y
-                    else:
-                        out[y] |= 1 << x
-                table.append(tuple(out))
-            self.tables.append(table)
-
-    def out_masks(self, code: int) -> List[int]:
-        n = self.n
-        out = [0] * n
-        for (lo, _), table in zip(self.chunks, self.tables):
-            part = table[(code >> lo) & 127]
-            for x in range(n):
-                out[x] |= part[x]
-        return out
-
-
 def _check_exhaustive(n: int) -> None:
     if pair_count(n) > EXHAUSTIVE_PAIR_LIMIT:
         raise ValueError(
@@ -208,8 +176,10 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
     """Run the kind's solver and checkers over the instance family.
 
     Returns a Report whose `failures` counts instances where any checker
-    failed.  mode is "exhaustive" or "sample" (the latter needs count and
-    seed); count and max_rows must be non-negative.
+    failed.  mode is "exhaustive" (which takes no count) or "sample" (which
+    needs count and seed); count and max_rows must be non-negative.  A
+    window must be non-negative; one above the set it ranges over acts as
+    the whole set.
     """
     if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
@@ -217,6 +187,8 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
         raise ValueError(f"count must be non-negative, got {count}")
     if max_rows < 0:
         raise ValueError(f"max_rows must be non-negative, got {max_rows}")
+    if mode == "exhaustive" and count:
+        raise ValueError(f"exhaustive sweeps take no count, got count={count}")
     if mode == "sample" and (count <= 0 or seed is None):
         raise ValueError("sampled sweeps need count > 0 and a seed")
     if kind == "coloring":
@@ -260,6 +232,8 @@ def _sweep_coloring(n, mode, count, seed, window, max_rows, want_traces) -> Repo
 
 def _sweep_tournament(n, mode, count, seed, window, max_rows) -> Report:
     columns = ("instance", "size", "transitive", "bound_ok", "ok")
+    if window is not None and window < 0:
+        raise ValueError(f"window must lie in [0, {n}]")
     rows: List[Tuple] = []
     failures = 0
     w = window if window is not None else default_window(n)

@@ -35,7 +35,8 @@ from epsilon0.ramsey.oracles import is_transitive_mask
 from epsilon0.ramsey.solvers import em_solve_masks, default_window
 from epsilon0.report import emit
 from epsilon0.sweep import (
-    _TournamentCodec, exhaustive_triple_ok, sweep, transitive_bound,
+    _TOURNAMENT_CHUNK, _out_mask_array, _tournament_chunk, exhaustive_triple_ok,
+    sweep, transitive_bound,
 )
 
 o = parse_ordinal
@@ -489,17 +490,25 @@ def test_criterion_6_erdos_moser():
                 ok = False
 
     # n = 6 and n = 7: mask-level solver plus the vectorized bound check.
+    # The out-masks come per chunk from the sweep kernel's builder; on
+    # every code the scalar result must be transitive and equal the
+    # kernel's.
     for n in (6, 7):
         w = default_window(n)
-        codec = _TournamentCodec(n)
         triple_ok = exhaustive_triple_ok(n)
         if not bool(triple_ok.all()):
             ok = False  # every tournament on >= 4 vertices has a transitive triple
-        for code in range(1 << pair_count(n)):
-            out = codec.out_masks(code)
-            chosen, _, _ = em_solve_masks(n, out, w)
-            if not is_transitive_mask(out, chosen):
-                ok = False
+        total = 1 << pair_count(n)
+        for lo in range(0, total, _TOURNAMENT_CHUNK):
+            codes = np.arange(lo, min(lo + _TOURNAMENT_CHUNK, total), dtype=np.uint32)
+            kernel_chosen, _, _ = _tournament_chunk(n, codes, w)
+            for out, want in zip(_out_mask_array(n, codes).T.tolist(),
+                                 kernel_chosen.tolist()):
+                chosen, _, _ = em_solve_masks(n, out, w)
+                if chosen != want or not is_transitive_mask(out, chosen):
+                    ok = False
+                    break
+            if not ok:
                 break
 
         # dual routes on deterministic samples:

@@ -268,6 +268,15 @@ def test_cli_ramsey_sweep_alias():
     assert code == 1 and "--n" in err
 
 
+def test_cli_ramsey_sweep_refuses_exhaustive_with_count():
+    code, out, err = run_cli("ramsey", "sweep", "--kind", "tournament", "--n", "3",
+                             "--exhaustive", "--count", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: exhaustive sweeps take no count, got count=2\n"
+    with pytest.raises(ValueError, match="take no count"):
+        sweep("coloring", 3, "exhaustive", count=2)
+
+
 def test_family_file_roundtrip():
     family = make_family(6, seed=2)
     assert parse_family(format_family(family)) == family

@@ -118,6 +118,12 @@ def test_parsers_name_what_is_missing():
         parse_coloring("n=-2\n0\n")
 
 
+def test_family_parser_refuses_negative_sizes():
+    for text in ("n=-3 m=0\n", "n=3 m=-1\n"):
+        with pytest.raises(ValueError, match="non-negative"):
+            parse_family(text)
+
+
 def test_a_huge_order_header_fails_fast():
     with pytest.raises(ValueError, match="ranking"):
         parse_order("n=1000000000000\n0 1\n")

@@ -1,0 +1,82 @@
+"""The module boundaries of `epsilon0.ramsey` that are kept on purpose.
+
+The oracles share no code with the solvers or the checkers they are used
+to test, and the solvers take nothing from the oracles.  Imports are read
+from the source with `ast`, at any depth (a function-level import counts).
+"""
+
+import ast
+from pathlib import Path
+
+import epsilon0.cli
+import epsilon0.ramsey
+import epsilon0.ramsey.instances
+
+RAMSEY = Path(epsilon0.ramsey.__file__).resolve().parent
+
+
+def _imported_modules(name):
+    """Absolute names of the modules that epsilon0.ramsey.<name> imports,
+    with `from pkg import mod` counted as importing pkg.mod."""
+    package = "epsilon0.ramsey"
+    found = set()
+    for node in ast.walk(ast.parse((RAMSEY / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0] if node.level > 1 else package
+                module = f"{base}.{node.module}" if node.module else base
+            else:
+                module = node.module
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def _imports_any(name, targets):
+    return sorted(m for m in _imported_modules(name)
+                  for t in targets if m == t or m.startswith(t + "."))
+
+
+def test_the_oracles_import_no_solver_or_checker():
+    assert _imports_any("oracles", ["epsilon0.ramsey.solvers",
+                                    "epsilon0.ramsey.checkers"]) == []
+
+
+def test_the_solvers_import_no_oracle():
+    assert _imports_any("solvers", ["epsilon0.ramsey.oracles"]) == []
+
+
+def test_the_import_reader_sees_relative_imports():
+    assert "epsilon0.ramsey.instances" in _imported_modules("oracles")
+    assert "epsilon0.ramsey.checkers.coloring_is_transitive" in _imported_modules("solvers")
+
+
+def test_the_package_exports_stay_the_same():
+    assert epsilon0.ramsey.__all__ == [
+        "PairColoring", "Tournament", "LinearOrderInstance", "SetFamily",
+        "pair_index", "pair_count",
+        "parse_coloring", "format_coloring", "parse_tournament",
+        "format_tournament", "parse_order", "format_order",
+        "HomogeneityCheck", "TransitivityCheck", "is_homogeneous", "is_transitive",
+        "tournament_from_coloring", "coloring_from_tournament",
+        "coloring_is_transitive", "order_from_transitive_coloring",
+        "brute_max_homogeneous", "brute_max_transitive",
+        "has_homogeneous_of_size", "has_transitive_of_size",
+        "Classification", "limit_classification",
+        "CohResult", "EmptyCellError", "coh_solve",
+        "EmResult", "em_solve", "AdsResult", "ads_solve",
+        "SolverTrace", "TraceCheck", "rt22_solve", "verify_trace",
+    ]
+
+
+def test_every_instance_format_lives_in_instances():
+    instances = epsilon0.ramsey.instances
+    for kind in ("coloring", "tournament", "order", "family"):
+        for verb in ("parse", "format"):
+            name = f"{verb}_{kind}"
+            assert name in instances.__all__
+            assert getattr(instances, name).__module__ == "epsilon0.ramsey.instances"
+    assert epsilon0.cli.parse_family is instances.parse_family
+    assert epsilon0.cli.format_family is instances.format_family

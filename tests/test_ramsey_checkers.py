@@ -14,7 +14,7 @@ from epsilon0.ramsey import (
     order_from_transitive_coloring, tournament_from_coloring,
 )
 from epsilon0.ramsey.instances import (
-    format_coloring, format_order, format_tournament, pair_count,
+    format_coloring, format_order, format_tournament, pair_count, pair_index,
     parse_coloring, parse_order, parse_tournament,
 )
 
@@ -260,3 +260,32 @@ def test_instance_file_roundtrips():
 def test_coloring_file_layout():
     f = PairColoring.from_function(3, lambda x, y: (x, y) == (0, 1))
     assert format_coloring(f) == "n=3\n100\n"
+
+
+def _per_pair_from_bits(n, bits):
+    """Tournament.from_bits as it read one pair bit at a time, kept as the
+    reference for the adjacency-mask rule."""
+    out = [0] * n
+    for x, y in itertools.combinations(range(n), 2):
+        if (bits >> pair_index(x, y, n)) & 1:
+            out[x] |= 1 << y
+        else:
+            out[y] |= 1 << x
+    return tuple(out)
+
+
+def test_from_bits_matches_the_per_pair_rule():
+    for n in range(0, 7):
+        for code in range(1 << pair_count(n)):
+            assert Tournament.from_bits(n, code).out == _per_pair_from_bits(n, code)
+    for i in range(500):
+        n = 7 + i % 20
+        code = make_tournament(n, seed=i).to_bits()
+        assert Tournament.from_bits(n, code).out == _per_pair_from_bits(n, code)
+
+
+def test_from_bits_refuses_bits_past_the_pair_range():
+    for n, bits in ((0, 1), (1, 1), (2, 2), (4, 1 << 6), (4, -1)):
+        with pytest.raises(ValueError, match="C\\(n,2\\)-bit range"):
+            Tournament.from_bits(n, bits)
+    assert Tournament.from_bits(4, (1 << 6) - 1).out == (0b1110, 0b1100, 0b1000, 0)

@@ -12,8 +12,15 @@ from epsilon0.ramsey import (
     rt22_solve, verify_trace,
 )
 from epsilon0.ramsey.instances import pair_count
-from epsilon0.ramsey.solvers import family_from_coloring
 from epsilon0.sweep import ascdesc_bound, verify_cohesive
+
+
+def family_from_coloring(f):
+    """R_x = {y : f(x, y) = 1}, one set per vertex."""
+    sets = []
+    for x in range(f.n):
+        sets.append(frozenset(y for y in range(f.n) if y != x and f.color(x, y)))
+    return SetFamily(f.n, tuple(sets))
 
 
 def pentagon():

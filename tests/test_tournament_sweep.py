@@ -249,3 +249,21 @@ def test_cli_exhaustive_tournament_sweep_n7():
                              "--exhaustive", "--format", "summary")
     assert code == 0, err
     assert out == CLI_N7_SUMMARY
+
+
+@pytest.mark.parametrize("mode, extra", [("exhaustive", {}), ("sample", {"count": 20, "seed": 3})])
+def test_tournament_sweeps_refuse_a_negative_window(mode, extra):
+    with pytest.raises(ValueError, match=r"window must lie in \[0, 4\]"):
+        sweep("tournament", 4, mode, window=-2, **extra)
+    flags = ("--exhaustive",) if mode == "exhaustive" else ("--count", "20", "--seed", "3")
+    code, out, err = run_cli("sweep", "--kind", "tournament", "--n", "4", *flags,
+                             "--window", "-2")
+    assert (code, out, err) == (1, "", "error: window must lie in [0, 4]\n")
+
+
+@pytest.mark.parametrize("mode, extra", [("exhaustive", {}), ("sample", {"count": 50, "seed": 3})])
+def test_a_tournament_window_above_n_acts_as_n(mode, extra):
+    for n in (3, 5):
+        whole = emit(sweep("tournament", n, mode, window=n, **extra), "tsv")
+        for w in (n + 1, n + 7):
+            assert emit(sweep("tournament", n, mode, window=w, **extra), "tsv") == whole
