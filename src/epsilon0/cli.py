@@ -52,43 +52,47 @@ from .sweep import sweep, verify_cohesive
 OK, FAIL = 0, 1
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _read(args) -> str:
+    if args.file is None:
+        raise ValueError(f"{args.command} {args.op} needs an instance file")
+    return Path(args.file).read_text()
 
 
 # ---------------------------------------------------------------------------
 # ord
 # ---------------------------------------------------------------------------
 
+_TAKES_B = ("compare", "add", "nat-add", "nat-mul-k", "tower")
+
+
 def _cmd_ord(args) -> int:
-    op = args.op
-    try:
-        if op == "eval":
-            print(format_ordinal(parse_ordinal(args.a)))
-        elif op == "compare":
-            rel = compare(parse_ordinal(args.a), parse_ordinal(args.b))
-            print({-1: "LT", 0: "EQ", 1: "GT"}[rel])
-        elif op == "add":
-            print(format_ordinal(std_add(parse_ordinal(args.a), parse_ordinal(args.b))))
-        elif op == "nat-add":
-            print(format_ordinal(nat_add(parse_ordinal(args.a), parse_ordinal(args.b))))
-        elif op == "nat-mul-k":
-            print(format_ordinal(nat_mul_k(parse_ordinal(args.a), int(args.b))))
-        elif op == "nat-mul-omega":
-            print(format_ordinal(nat_mul_omega(parse_ordinal(args.a))))
-        elif op == "omega-pow":
-            print(format_ordinal(omega_pow(parse_ordinal(args.a))))
-        elif op == "tower":
-            print(format_ordinal(tower(parse_ordinal(args.a), int(args.b))))
-        elif op == "encode":
-            # Decimal prints codes past the interpreter's int-to-str digit
-            # limit; encode bounds them by MAX_CODE_BITS.
-            print(Decimal(encode(parse_ordinal(args.a))))
-        elif op == "decode":
-            print(format_ordinal(decode(parse_index(args.a))))
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    op, b = args.op, args.b
+    if op == "decode":
+        print(format_ordinal(decode(parse_index(args.a))))
+        return OK
+    a = parse_ordinal(args.a)
+    if op in _TAKES_B and b is None:
+        raise ValueError(f"ord {op} needs B")
+    if op == "eval":
+        print(format_ordinal(a))
+    elif op == "compare":
+        print({-1: "LT", 0: "EQ", 1: "GT"}[compare(a, parse_ordinal(b))])
+    elif op == "add":
+        print(format_ordinal(std_add(a, parse_ordinal(b))))
+    elif op == "nat-add":
+        print(format_ordinal(nat_add(a, parse_ordinal(b))))
+    elif op == "nat-mul-k":
+        print(format_ordinal(nat_mul_k(a, int(b))))
+    elif op == "nat-mul-omega":
+        print(format_ordinal(nat_mul_omega(a)))
+    elif op == "omega-pow":
+        print(format_ordinal(omega_pow(a)))
+    elif op == "tower":
+        print(format_ordinal(tower(a, int(b))))
+    else:  # encode
+        # Decimal prints codes past the interpreter's int-to-str digit
+        # limit; encode bounds them by MAX_CODE_BITS.
+        print(Decimal(encode(a)))
     return OK
 
 
@@ -97,26 +101,22 @@ def _cmd_ord(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_descent(args) -> int:
-    try:
-        if args.op == "combine":
-            log = descent_mod.parse_event_log(_read(args.file))
-            trace = descent_mod.gamma_combine(log)
-            sys.stdout.write(descent_mod.format_descent_trace(trace))
-            violation = descent_mod.validate_descent(trace)
-            if violation is not None:
-                print(f"invalid: index={violation.index} reason={violation.reason}")
-                return FAIL
-            return OK
-        trace = descent_mod.parse_descent_trace(_read(args.file))
+    if args.op == "combine":
+        log = descent_mod.parse_event_log(_read(args))
+        trace = descent_mod.gamma_combine(log)
+        sys.stdout.write(descent_mod.format_descent_trace(trace))
         violation = descent_mod.validate_descent(trace)
-        if violation is None:
-            print(f"ok length={len(trace)}")
-            return OK
-        print(f"violation index={violation.index} reason={violation.reason}")
-        return FAIL
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+        if violation is not None:
+            print(f"invalid: index={violation.index} reason={violation.reason}")
+            return FAIL
+        return OK
+    trace = descent_mod.parse_descent_trace(_read(args))
+    violation = descent_mod.validate_descent(trace)
+    if violation is None:
+        print(f"ok length={len(trace)}")
+        return OK
+    print(f"violation index={violation.index} reason={violation.reason}")
+    return FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -172,42 +172,38 @@ def _builtin_generator(style: str, b: int, d: int, seed: int):
 
 
 def _cmd_enum(args) -> int:
-    try:
-        if args.op == "check":
-            enum, ranks, _ = enum_mod.parse_enumeration_log(_read(args.file))
-            offender = enum_mod.check_bounded(enum, args.bound) if args.bound is not None else None
-            print(f"stages={enum.stage_count() - 1} nodes={len(enum.current)}")
-            if offender is not None:
-                print(f"bound-violation node={enum_mod.format_node(offender)}")
-                return FAIL
-            print("ok")
-            return OK
-        if args.op == "measure":
-            enum, ranks, bound = enum_mod.parse_enumeration_log(_read(args.file))
-            for s, tree in enumerate(enum.stages):
-                print(f"stage={s} zeta={format_ordinal(enum_mod.zeta_measure(tree, ranks))}")
-            verdict = enum_mod.zeta_decrease_check(enum, ranks)
-            if verdict.ok:
-                print("decrease ok")
-                return OK
-            print(f"violation stage={verdict.stage} kind={verdict.kind}")
+    if args.op == "check":
+        enum, ranks, _ = enum_mod.parse_enumeration_log(_read(args))
+        offender = enum_mod.check_bounded(enum, args.bound) if args.bound is not None else None
+        print(f"stages={enum.stage_count() - 1} nodes={len(enum.current)}")
+        if offender is not None:
+            print(f"bound-violation node={enum_mod.format_node(offender)}")
             return FAIL
-        # run
-        gen = _builtin_generator(args.style, args.depth, args.branching, args.seed)
-        outcome = enum_mod.run_to_finiteness(gen, args.depth, args.branching, args.fuel)
-        if isinstance(outcome, enum_mod.Finished):
-            tree = outcome.enumeration.current
-            limit = (args.branching + 1) ** (args.depth + 1)
-            print(f"finished nodes={len(tree)} bound={limit}")
+        print("ok")
+        return OK
+    if args.op == "measure":
+        enum, ranks, bound = enum_mod.parse_enumeration_log(_read(args))
+        for s, tree in enumerate(enum.stages):
+            print(f"stage={s} zeta={format_ordinal(enum_mod.zeta_measure(tree, ranks))}")
+        verdict = enum_mod.zeta_decrease_check(enum, ranks)
+        if verdict.ok:
+            print("decrease ok")
             return OK
-        if isinstance(outcome, enum_mod.FuelExhausted):
-            print(f"fuel-exhausted nodes={len(outcome.enumeration.current)}")
-            return FAIL
-        print(f"rejected: {outcome}")
+        print(f"violation stage={verdict.stage} kind={verdict.kind}")
         return FAIL
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # run
+    gen = _builtin_generator(args.style, args.depth, args.branching, args.seed)
+    outcome = enum_mod.run_to_finiteness(gen, args.depth, args.branching, args.fuel)
+    if isinstance(outcome, enum_mod.Finished):
+        tree = outcome.enumeration.current
+        limit = (args.branching + 1) ** (args.depth + 1)
+        print(f"finished nodes={len(tree)} bound={limit}")
+        return OK
+    if isinstance(outcome, enum_mod.FuelExhausted):
+        print(f"fuel-exhausted nodes={len(outcome.enumeration.current)}")
         return FAIL
+    print(f"rejected: {outcome}")
+    return FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -215,64 +211,53 @@ def _cmd_enum(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_ramsey(args) -> int:
-    try:
-        if args.op == "sweep":
-            if args.n is None:
-                print("error: ramsey sweep needs --n", file=sys.stderr)
-                return FAIL
-            return _cmd_sweep(args)
-        if args.file is None:
-            print(f"error: ramsey {args.op} needs an instance file", file=sys.stderr)
+    if args.op == "sweep":
+        if args.n is None:
+            raise ValueError("ramsey sweep needs --n")
+        return _cmd_sweep(args)
+    if args.op == "solve":
+        coloring = parse_coloring(_read(args))
+        trace = rt22_solve(coloring, args.window)
+        if args.format == "trace":
+            print(trace.to_json())
+        else:
+            print(f"n={trace.n} g0={len(trace.cohesive_set)} g1={len(trace.transitive_set)} "
+                  f"size={len(trace.final_set)} color={trace.final_color} "
+                  f"direction={trace.monotone_direction}")
+        check = verify_trace(trace, coloring)
+        if not check.ok:
+            print(f"invalid: stage={check.stage} {check.detail}")
             return FAIL
-        if args.op == "solve":
-            coloring = parse_coloring(_read(args.file))
-            trace = rt22_solve(coloring, args.window)
-            if args.format == "trace":
-                print(trace.to_json())
-            else:
-                print(f"n={trace.n} g0={len(trace.cohesive_set)} g1={len(trace.transitive_set)} "
-                      f"size={len(trace.final_set)} color={trace.final_color} "
-                      f"direction={trace.monotone_direction}")
-            check = verify_trace(trace, coloring)
-            if not check.ok:
-                print(f"invalid: stage={check.stage} {check.detail}")
-                return FAIL
-            return OK
-        if args.op == "em":
-            tournament = parse_tournament(_read(args.file))
-            result = em_solve(tournament, args.window)
-            print(f"n={tournament.n} size={len(result.subset)} "
-                  f"set={','.join(map(str, result.subset))}")
-            return OK if is_transitive(tournament, result.subset).ok else FAIL
-        if args.op == "ads":
-            order = parse_order(_read(args.file))
-            result = ads_solve(order)
-            print(f"n={order.n} direction={result.direction} size={len(result.sequence)} "
-                  f"set={','.join(map(str, result.sequence))}")
-            return OK
-        if args.op == "coh":
-            family = parse_family(_read(args.file))
-            target = args.target if args.target is not None else family.n
-            result = coh_solve(family, target)
-            print(f"n={family.n} m={len(family.sets)} size={len(result.chosen)} "
-                  f"set={','.join(map(str, result.chosen))} "
-                  f"sides={''.join(map(str, result.sides))} "
-                  f"thresholds={','.join(map(str, result.thresholds))}")
-            return OK if verify_cohesive(family, result) else FAIL
-        if args.op == "brute":
-            text = _read(args.file)
-            if args.instance == "coloring":
-                coloring = parse_coloring(text)
-                size, witness = brute_max_homogeneous(coloring)
-            else:
-                tournament = parse_tournament(text)
-                size, witness = brute_max_transitive(tournament)
-            print(f"max={size} witness={','.join(map(str, sorted(witness)))}")
-            return OK
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    return FAIL
+        return OK
+    if args.op == "em":
+        tournament = parse_tournament(_read(args))
+        result = em_solve(tournament, args.window)
+        print(f"n={tournament.n} size={len(result.subset)} "
+              f"set={','.join(map(str, result.subset))}")
+        return OK if is_transitive(tournament, result.subset).ok else FAIL
+    if args.op == "ads":
+        order = parse_order(_read(args))
+        result = ads_solve(order)
+        print(f"n={order.n} direction={result.direction} size={len(result.sequence)} "
+              f"set={','.join(map(str, result.sequence))}")
+        return OK
+    if args.op == "coh":
+        family = parse_family(_read(args))
+        target = args.target if args.target is not None else family.n
+        result = coh_solve(family, target)
+        print(f"n={family.n} m={len(family.sets)} size={len(result.chosen)} "
+              f"set={','.join(map(str, result.chosen))} "
+              f"sides={''.join(map(str, result.sides))} "
+              f"thresholds={','.join(map(str, result.thresholds))}")
+        return OK if verify_cohesive(family, result) else FAIL
+    # brute
+    text = _read(args)
+    if args.instance == "coloring":
+        size, witness = brute_max_homogeneous(parse_coloring(text))
+    else:
+        size, witness = brute_max_transitive(parse_tournament(text))
+    print(f"max={size} witness={','.join(map(str, sorted(witness)))}")
+    return OK
 
 
 # ---------------------------------------------------------------------------
@@ -281,34 +266,22 @@ def _cmd_ramsey(args) -> int:
 
 def _cmd_sweep(args) -> int:
     mode = "exhaustive" if args.exhaustive else "sample"
-    try:
-        started = time.monotonic()
-        report = sweep(args.kind, args.n, mode, count=args.count, seed=args.seed,
-                       window=args.window, target=args.target, max_rows=args.max_rows,
-                       want_traces=(args.format == "trace" and args.kind == "coloring"))
-        report.wall_clock = time.monotonic() - started
-        sys.stdout.write(emit(report, args.format))
-        print(f"wall_clock={report.wall_clock:.3f}s", file=sys.stderr)
-        return OK if report.failures == 0 else FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    started = time.monotonic()
+    report = sweep(args.kind, args.n, mode, count=args.count, seed=args.seed,
+                   window=args.window, target=args.target, max_rows=args.max_rows,
+                   want_traces=(args.format == "trace" and args.kind == "coloring"))
+    report.wall_clock = time.monotonic() - started
+    sys.stdout.write(emit(report, args.format))
+    print(f"wall_clock={report.wall_clock:.3f}s", file=sys.stderr)
+    return OK if report.failures == 0 else FAIL
+
+
+_FORMATTERS = {"coloring": format_coloring, "tournament": format_tournament,
+               "order": format_order, "family": format_family}
 
 
 def _cmd_generate(args) -> int:
-    try:
-        instance = generate(args.kind, args.n, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    if args.kind == "coloring":
-        text = format_coloring(instance)
-    elif args.kind == "tournament":
-        text = format_tournament(instance)
-    elif args.kind == "order":
-        text = format_order(instance)
-    else:
-        text = format_family(instance)
+    text = _FORMATTERS[args.kind](generate(args.kind, args.n, args.seed))
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -388,8 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command: its exit code, or 1 with `error: <message>` on
+    stderr for a rejected input (ValueError, ArithmeticError, OSError).
+    Usage errors leave through argparse with exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAIL
 
 
 if __name__ == "__main__":

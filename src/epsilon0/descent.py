@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .ordinal import (
     LT,
@@ -99,7 +99,7 @@ class StreamEventLog:
         if self.k < 0:
             raise MalformedLogError("k must be non-negative")
         last_time = -1
-        last_value: List[Optional[Ordinal]] = [None] * self.k
+        last_value: Dict[int, Ordinal] = {}
         for ev in self.events:
             if not 0 <= ev.stream < self.k:
                 raise MalformedLogError(f"stream {ev.stream} out of range [0,{self.k})")
@@ -109,7 +109,7 @@ class StreamEventLog:
             if compare(ev.value, self.bound) != LT:
                 raise MalformedLogError(
                     f"value {format_ordinal(ev.value)} not below bound at t={ev.time}")
-            prev = last_value[ev.stream]
+            prev = last_value.get(ev.stream)
             if prev is not None and compare(ev.value, prev) != LT:
                 raise MalformedLogError(
                     f"stream {ev.stream} not strictly decreasing at t={ev.time}")
@@ -139,12 +139,15 @@ def gamma_combine(log: StreamEventLog) -> DescentTrace:
     latest value each has emitted (bound if silent so far).
     """
     log.check()
-    current: List[Ordinal] = [log.bound] * log.k
+    # Only the streams that have spoken are stored; the silent ones add
+    # up to one natural multiple of the bound, so memory and time follow
+    # the events, not k.
+    latest: Dict[int, Ordinal] = {}
     values: List[Ordinal] = []
     for ev in log.events:
-        current[ev.stream] = ev.value
-        total = current[0] if log.k else None
-        for v in current[1:]:
+        latest[ev.stream] = ev.value
+        total = nat_mul_k(log.bound, log.k - len(latest))
+        for v in latest.values():
             total = nat_add(total, v)
         values.append(total)
     return DescentTrace(bound=nat_mul_k(log.bound, log.k), values=tuple(values))

@@ -28,6 +28,7 @@ carry the root rank line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -206,8 +207,11 @@ def run_to_finiteness(gen: Iterator[Mapping[Node, object]],
     The generator must only produce stages that pass `step`, stay b-bounded
     and keep branching at most d; violations are returned as rejections.
     Exhaustion of the generator is the finiteness signal, and the static
-    node-count bound (d+1)^(b+1) is asserted on the final tree.
+    node-count bound (d+1)^(b+1) is asserted on the final tree.  A negative
+    b or d raises ValueError before the generator is first called.
     """
+    if b < 0 or d < 0:
+        raise ValueError(f"bound and branching must be non-negative, got b={b} d={d}")
     enum = MonotoneEnumeration.initial()
     for _ in range(fuel):
         try:
@@ -351,17 +355,30 @@ def parse_node(text: str) -> Node:
     return tuple(int(part) for part in text.split("."))
 
 
-def _value_after_eq(line: str, lineno: int, form: str) -> str:
-    if "=" not in line:
+# Each line form is matched whole, keyed by the line's first word; a rank
+# runs to the end of its line.
+_LINE_FORMS = {
+    "bound": (re.compile(r"bound=(.*)"), "bound=<ordinal>"),
+    "root": (re.compile(r"root\s+rank=(.*)"), "root rank=<ordinal>"),
+    "stage": (re.compile(r"stage\s+([0-9]+)"), "stage <int>"),
+    "add": (re.compile(r"add\s+(-|[0-9]+(?:\.[0-9]+)*)(?:\s+rank=(.*))?"),
+            "add <node> [rank=<ordinal>]"),
+}
+
+
+def _line_fields(keyword: str, line: str, lineno: int) -> Tuple[Optional[str], ...]:
+    pattern, form = _LINE_FORMS[keyword]
+    match = pattern.fullmatch(line)
+    if match is None:
         raise ValueError(f"line {lineno}: expected '{form}', got {line!r}")
-    return line.split("=", 1)[1]
+    return match.groups()
 
 
 def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignment, Ordinal]:
     """Parse the stage-block format; returns the replayed enumeration, the
     rank assignment, and the rank bound (`bound=<ordinal>` header line,
-    defaulting to w).  Malformed lines, and ranks not below the bound,
-    raise ValueError."""
+    defaulting to w).  Malformed or unrecognized lines, and ranks not below
+    the bound, raise ValueError."""
     enum = MonotoneEnumeration.initial()
     ranks: Dict[Node, Ordinal] = {}
     bound = OMEGA
@@ -371,40 +388,30 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("bound"):
-            bound = parse_ordinal(_value_after_eq(line, lineno, "bound=<ordinal>"))
-        elif line.startswith("root"):
-            ranks[ROOT] = parse_ordinal(_value_after_eq(line, lineno, "root rank=<ordinal>"))
-        elif line.startswith("stage"):
+        keyword = line.split(maxsplit=1)[0].split("=", 1)[0]
+        if keyword == "bound":
+            bound = parse_ordinal(_line_fields(keyword, line, lineno)[0])
+        elif keyword == "root":
+            ranks[ROOT] = parse_ordinal(_line_fields(keyword, line, lineno)[0])
+        elif keyword == "stage":
             if pending is not None:
                 result = step(enum, pending)
                 if isinstance(result, StepRejection):
                     raise ValueError(f"stage rejected before line {lineno}: {result}")
                 enum = result
-            try:
-                declared = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"line {lineno}: expected 'stage <int>', got {line!r}") from None
+            declared = int(_line_fields(keyword, line, lineno)[0])
             if declared != expected_stage:
                 raise ValueError(f"line {lineno}: expected stage {expected_stage}, got {declared}")
             expected_stage += 1
             pending = {}
-        elif line.startswith("add"):
+        elif keyword == "add":
             if pending is None:
                 raise ValueError(f"line {lineno}: 'add' before any 'stage'")
-            fields = line.split()
-            if len(fields) < 2:
-                raise ValueError(
-                    f"line {lineno}: expected 'add <node> [rank=<ordinal>]', got {line!r}")
-            node = parse_node(fields[1])
-            rank = None
-            for extra in fields[2:]:
-                key, _, value = extra.partition("=")
-                if key == "rank":
-                    rank = parse_ordinal(value)
+            node_text, rank_text = _line_fields(keyword, line, lineno)
+            node = parse_node(node_text)
             pending[node] = None
-            if rank is not None:
-                ranks[node] = rank
+            if rank_text is not None:
+                ranks[node] = parse_ordinal(rank_text)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if pending is not None:

@@ -441,7 +441,7 @@ class _Scanner:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         lit = self.text[start:self.pos]
         if not lit:
@@ -477,7 +477,7 @@ def _parse_term(s: _Scanner) -> Ordinal:
         else:
             exp = ONE
         coeff = 1
-    elif ch.isdigit():
+    elif "0" <= ch <= "9":
         exp = ZERO
         coeff = s.nat()
     else:

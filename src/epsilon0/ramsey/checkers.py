@@ -19,7 +19,6 @@ from .instances import (
     PairColoring,
     Tournament,
     all_pairs,
-    pair_index,
 )
 
 __all__ = [
@@ -92,11 +91,7 @@ def tournament_from_coloring(f: PairColoring) -> Tournament:
 
 def coloring_from_tournament(r: Tournament) -> PairColoring:
     """Inverse of tournament_from_coloring."""
-    bits = 0
-    for x, y in all_pairs(r.n):
-        if r.beats(x, y):
-            bits |= 1 << pair_index(x, y, r.n)
-    return PairColoring(r.n, bits)
+    return PairColoring(r.n, r.to_bits())
 
 
 def coloring_is_transitive(f: PairColoring,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import ceil
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -402,37 +402,17 @@ class SolverTrace:
     final_color: int
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "window": self.window,
-            "cohesive_set": list(self.cohesive_set),
-            "cohesive_sides": list(self.cohesive_sides),
-            "cohesive_thresholds": list(self.cohesive_thresholds),
-            "transitive_set": list(self.transitive_set),
-            "transitive_steps": [list(s) for s in self.transitive_steps],
-            "monotone_direction": self.monotone_direction,
-            "monotone_set": list(self.monotone_set),
-            "final_set": list(self.final_set),
-            "final_color": self.final_color,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "SolverTrace":
         data = json.loads(text)
-        return cls(
-            n=data["n"],
-            window=data["window"],
-            cohesive_set=tuple(data["cohesive_set"]),
-            cohesive_sides=tuple(data["cohesive_sides"]),
-            cohesive_thresholds=tuple(data["cohesive_thresholds"]),
-            transitive_set=tuple(data["transitive_set"]),
-            transitive_steps=tuple(tuple(s) for s in data["transitive_steps"]),
-            monotone_direction=data["monotone_direction"],
-            monotone_set=tuple(data["monotone_set"]),
-            final_set=tuple(data["final_set"]),
-            final_color=data["final_color"],
-        )
+        return cls(**{f.name: _tuples(data[f.name]) for f in fields(cls)})
+
+
+def _tuples(value):
+    """JSON lists back to the nested tuples of a SolverTrace field."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def rt22_solve(f: PairColoring, window: Optional[int] = None) -> SolverTrace:

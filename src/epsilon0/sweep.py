@@ -177,7 +177,7 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
 
     Returns a Report whose `failures` counts instances where any checker
     failed.  mode is "exhaustive" (which takes no count) or "sample" (which
-    needs count and seed); count and max_rows must be non-negative.  A
+    needs count and seed); n, count and max_rows must be non-negative.  A
     window must be non-negative; one above the set it ranges over acts as
     the whole set.
     """
@@ -191,6 +191,8 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
         raise ValueError(f"exhaustive sweeps take no count, got count={count}")
     if mode == "sample" and (count <= 0 or seed is None):
         raise ValueError("sampled sweeps need count > 0 and a seed")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if kind == "coloring":
         return _sweep_coloring(n, mode, count, seed, window, max_rows, want_traces)
     if kind == "tournament":

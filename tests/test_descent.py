@@ -267,3 +267,16 @@ def test_parse_log_rejects_garbage():
         parse_event_log("k=2\nt=0 e=0 v=1\n")
     with pytest.raises(MalformedLogError):
         parse_event_log("k=2 bound=w\nt=0 e=0\n")
+
+
+def test_memory_follows_the_events_not_k():
+    k = 10 ** 15
+    log = make_log(k, w, [(0, 5, from_int(3)), (1, k - 1, from_int(4)), (2, 5, ZERO)])
+    trace = gamma_combine(log)
+    assert trace.bound == nat_mul_k(w, k)
+    assert trace.values == (
+        nat_add(nat_mul_k(w, k - 1), from_int(3)),
+        nat_add(nat_mul_k(w, k - 2), from_int(7)),
+        nat_add(nat_mul_k(w, k - 2), from_int(4)),
+    )
+    assert validate_descent(trace) is None

@@ -429,3 +429,12 @@ def test_parse_log_rejects_bad_stages():
         parse_enumeration_log("stage 2\nadd 0\n")
     with pytest.raises(ValueError):
         parse_enumeration_log("add 0\n")
+
+
+@pytest.mark.parametrize("b, d", [(-1, 2), (2, -1), (0, -2)])
+def test_run_to_finiteness_refuses_negative_bounds(b, d):
+    def gen():
+        raise AssertionError("the generator must not start")
+        yield {}
+    with pytest.raises(ValueError, match="must be non-negative"):
+        run_to_finiteness(gen(), b, d, 10)

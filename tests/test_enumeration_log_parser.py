@@ -138,3 +138,77 @@ def test_cli_reports_coefficient_overflow_in_descent_files(tmp_path, op, text):
     code, out, err = run_cli("descent", op, str(path))
     assert (code, out) == (1, "")
     assert err == "error: coefficient 99999999999999999999999 exceeds 64-bit limit\n"
+
+
+# ---------------------------------------------------------------------------
+# every line form is matched whole
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("line", [
+    "boundary=w^(2)", "rooted rank=w", "stagecoach 1", "address 0 rank=3",
+])
+def test_keyword_prefixes_are_unrecognized(tmp_path, line):
+    with pytest.raises(ValueError, match=r"^line 1: unrecognized line "):
+        parse_enumeration_log(line + "\n")
+    path = tmp_path / "enum.log"
+    path.write_text(line + "\n")
+    code, out, err = run_cli("enum", "measure", str(path))
+    assert (code, out, err) == (1, "", f"error: line 1: unrecognized line {line!r}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "bound=w^(2)\nroot rank=w + 5\nstage 1\nadd 0 rank=w + 7\n",
+    "bound=w^(2)\nroot rank=w+5\nstage 1\nadd 0 rank=w+7\n",
+])
+def test_a_rank_runs_to_the_end_of_its_line(tmp_path, text):
+    _, ranks, _ = parse_enumeration_log(text)
+    assert ranks.rank[(0,)] == parse_ordinal("w + 7")
+    path = tmp_path / "enum.log"
+    path.write_text(text)
+    code, out, err = run_cli("enum", "measure", str(path))
+    assert (code, err) == (1, "")
+    assert out == "stage=0 zeta=w^(w + 5)\nstage=1 zeta=w^(w + 7)\nviolation stage=1 kind=rank\n"
+
+
+@pytest.mark.parametrize("text", [
+    "stage 1\nadd 0 depth=3\n",
+    "stage 1 extra\n",
+    "stage 1\nadd 0 rank\n",
+    "stage 1\nadd -1\n",
+    "stage 1\nadd ٣\n",
+    "stage 1\nadd 0.x\n",
+    "stage ٣\n",
+])
+def test_lines_outside_their_form_are_refused(text):
+    with pytest.raises(ValueError, match=r"^line \d+: expected"):
+        parse_enumeration_log(text)
+
+
+@st.composite
+def logs_with_multi_term_ranks(draw):
+    """A chain whose ranks are strictly decreasing sums of several terms."""
+    count = draw(st.integers(1, 5))
+    values = sorted(draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 9),
+                                           st.integers(1, 9)),
+                                 min_size=count + 1, max_size=count + 1)), reverse=True)
+    ranks = {}
+    enum = MonotoneEnumeration.initial()
+    node = ROOT
+    for i, (a, b, c) in enumerate(values):
+        rank = parse_ordinal(f"w^(2)*{a + 1} + w*{b + 1} + {c}")
+        if i:
+            node = node + (0,)
+            enum = step(enum, {node: None})
+        ranks[node] = rank
+    return enum, RankAssignment(ranks, parse_ordinal("w^(3)"))
+
+
+@given(log=logs_with_multi_term_ranks())
+def test_parse_inverts_format_with_multi_term_ranks(log):
+    enum, ranks = log
+    text = format_enumeration_log(enum, ranks)
+    assert " + " in text.splitlines()[-1]
+    parsed, parsed_ranks, bound = parse_enumeration_log(text)
+    assert parsed.deltas == enum.deltas
+    assert dict(parsed_ranks.rank) == dict(ranks.rank)
+    assert bound == ranks.bound

@@ -282,3 +282,14 @@ def test_family_file_roundtrip():
     assert parse_family(format_family(family)) == family
     empty = make_family(1, seed=0)
     assert parse_family(format_family(empty)) == empty
+
+
+@pytest.mark.parametrize("kind", ["coloring", "tournament", "order", "family"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_sweep_refuses_a_negative_n(kind, mode):
+    count, seed = (0, None) if mode == "exhaustive" else (3, 1)
+    with pytest.raises(ValueError, match=r"^n must be non-negative, got -2$"):
+        sweep(kind, -2, mode, count=count, seed=seed)
+    size = ["--exhaustive"] if mode == "exhaustive" else ["--count", "3"]
+    code, out, err = run_cli("sweep", "--kind", kind, "--n", "-2", *size)
+    assert (code, out, err) == (1, "", "error: n must be non-negative, got -2\n")

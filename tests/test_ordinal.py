@@ -583,3 +583,12 @@ def test_hashes_and_set_order_agree_across_hash_seeds():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()[0].split()) > 300
+
+
+@pytest.mark.parametrize("text, position", [
+    ("٣", 0), ("w*٣", 2), ("²", 0), ("w*²", 2), ("1²", 1), ("w^(٣)", 3), ("w + ３", 4),
+])
+def test_only_ascii_digits_are_numbers(text, position):
+    with pytest.raises(OrdinalSyntaxError) as err:
+        parse_ordinal(text)
+    assert err.value.position == position

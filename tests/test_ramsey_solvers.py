@@ -640,3 +640,16 @@ def test_coloring_sweep_reports_match_golden_digests():
         for key in fmts:
             digest = hashlib.sha256(emit(report, key[3]).encode()).hexdigest()
             assert digest == GOLDEN[key], key
+
+
+def test_trace_json_lists_every_field_once_and_round_trips():
+    import json
+    from dataclasses import fields
+    for code in range(1 << pair_count(5)):
+        f = PairColoring(5, code)
+        trace = rt22_solve(f)
+        text = trace.to_json()
+        assert list(json.loads(text)) == sorted(field.name for field in fields(SolverTrace))
+        again = SolverTrace.from_json(text)
+        assert again == trace
+        assert all(type(step) is tuple for step in again.transitive_steps)
