@@ -67,6 +67,8 @@ _TAKES_B = ("compare", "add", "nat-add", "nat-mul-k", "tower")
 
 def _cmd_ord(args) -> int:
     op, b = args.op, args.b
+    if op not in _TAKES_B and b is not None:
+        raise ValueError(f"ord {op} takes no B")
     if op == "decode":
         print(format_ordinal(decode(parse_index(args.a))))
         return OK
@@ -192,6 +194,8 @@ def _cmd_enum(args) -> int:
         print(f"violation stage={verdict.stage} kind={verdict.kind}")
         return FAIL
     # run
+    if args.file is not None:
+        raise ValueError("enum run takes no instance file")
     gen = _builtin_generator(args.style, args.depth, args.branching, args.seed)
     outcome = enum_mod.run_to_finiteness(gen, args.depth, args.branching, args.fuel)
     if isinstance(outcome, enum_mod.Finished):
@@ -212,6 +216,8 @@ def _cmd_enum(args) -> int:
 
 def _cmd_ramsey(args) -> int:
     if args.op == "sweep":
+        if args.file is not None:
+            raise ValueError("ramsey sweep takes no instance file")
         if args.n is None:
             raise ValueError("ramsey sweep needs --n")
         return _cmd_sweep(args)
@@ -269,7 +275,7 @@ def _cmd_sweep(args) -> int:
     started = time.monotonic()
     report = sweep(args.kind, args.n, mode, count=args.count, seed=args.seed,
                    window=args.window, target=args.target, max_rows=args.max_rows,
-                   want_traces=(args.format == "trace" and args.kind == "coloring"))
+                   want_traces=args.format == "trace")
     report.wall_clock = time.monotonic() - started
     sys.stdout.write(emit(report, args.format))
     print(f"wall_clock={report.wall_clock:.3f}s", file=sys.stderr)

@@ -157,8 +157,8 @@ def gamma_combine(log: StreamEventLog) -> DescentTrace:
 # Log and trace text formats
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"^k=(\d+)\s+bound=(.+)$")
-_EVENT_RE = re.compile(r"^t=(\d+)\s+e=(\d+)\s+v=(.+)$")
+_HEADER_RE = re.compile(r"^k=([0-9]+)\s+bound=(.+)$")
+_EVENT_RE = re.compile(r"^t=([0-9]+)\s+e=([0-9]+)\s+v=(.+)$")
 
 
 def parse_event_log(text: str) -> StreamEventLog:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial, isqrt
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .ramsey.instances import (
     LinearOrderInstance,
     PairColoring,
     SetFamily,
+    Tournament,
     pair_count,
 )
 from .ramsey.oracles import has_transitive_of_size
@@ -158,15 +159,50 @@ def exhaustive_triple_ok(n: int) -> np.ndarray:
     return _has_transitive(_out_mask_array(n, codes), 3)
 
 
-def _check_exhaustive(n: int) -> None:
-    if pair_count(n) > EXHAUSTIVE_PAIR_LIMIT:
-        raise ValueError(
-            f"exhaustive sweep needs C(n,2) <= {EXHAUSTIVE_PAIR_LIMIT}, got {pair_count(n)}")
+def _check_coloring(coloring: PairColoring, window, target):
+    trace = rt22_solve(coloring, window)
+    ok = verify_trace(trace, coloring).ok  # its final stage checks homogeneity
+    return (len(trace.cohesive_set), len(trace.transitive_set), len(trace.final_set),
+            trace.final_color, trace.monotone_direction, int(ok)), trace
 
 
-def _sample_seeds(seed: int, count: int) -> Iterator[Tuple[int, int]]:
-    for i in range(count):
-        yield i, (seed + i) & _MASK64
+def _check_tournament(tournament: Tournament, window, target):
+    n = tournament.n
+    chosen, _, _ = em_solve_masks(n, tournament.out, window)
+    subset = [x for x in range(n) if (chosen >> x) & 1]
+    transitive = is_transitive(tournament, subset).ok
+    b_ok = has_transitive_of_size(tournament, transitive_bound(n))
+    return (len(subset), int(transitive), int(b_ok), int(transitive and b_ok)), None
+
+
+def _check_order(order: LinearOrderInstance, window, target):
+    result = ads_solve(order)
+    seq = result.sequence
+    ascending = result.direction == "ascending"
+    monotone = all(seq[i] < seq[i + 1] for i in range(len(seq) - 1)) and all(
+        order.less(seq[i], seq[i + 1]) == ascending for i in range(len(seq) - 1))
+    b_ok = len(seq) >= ascdesc_bound(order.n)
+    return (len(seq), result.direction, int(monotone), int(b_ok), int(monotone and b_ok)), None
+
+
+def _check_family(family: SetFamily, window, target):
+    result = coh_solve(family, target if target is not None else family.n)
+    cohesive = verify_cohesive(family, result)
+    return (len(result.chosen), int(cohesive), int(cohesive)), None
+
+
+#: Per kind: the report columns, the seeded generator of sampled sweeps and
+#: the check that turns one instance into (row without `instance`, trace or
+#: None); every row ends with `ok`.
+_KINDS = {
+    "coloring": (("instance", "g0", "g1", "size", "color", "direction", "ok"),
+                 make_coloring, _check_coloring),
+    "tournament": (("instance", "size", "transitive", "bound_ok", "ok"),
+                   make_tournament, _check_tournament),
+    "order": (("instance", "size", "direction", "monotone", "bound_ok", "ok"),
+              make_order, _check_order),
+    "family": (("instance", "size", "cohesive", "ok"), make_family, _check_family),
+}
 
 
 def sweep(kind: str, n: int, mode: str, *, count: int = 0,
@@ -193,133 +229,49 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
         raise ValueError("sampled sweeps need count > 0 and a seed")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if kind == "coloring":
-        return _sweep_coloring(n, mode, count, seed, window, max_rows, want_traces)
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "family" and mode == "exhaustive":
+        raise ValueError("family sweeps are sample-only")
     if kind == "tournament":
-        return _sweep_tournament(n, mode, count, seed, window, max_rows)
-    if kind == "order":
-        return _sweep_order(n, mode, count, seed, max_rows)
-    if kind == "family":
-        return _sweep_family(n, mode, count, seed, target, max_rows)
-    raise ValueError(f"unknown kind {kind!r}")
+        if window is not None and window < 0:
+            raise ValueError(f"window must lie in [0, {n}]")
+        window = window if window is not None else default_window(n)
+    if mode == "exhaustive" and pair_count(n) > EXHAUSTIVE_PAIR_LIMIT:
+        raise ValueError(
+            f"exhaustive sweep needs C(n,2) <= {EXHAUSTIVE_PAIR_LIMIT}, got {pair_count(n)}")
 
-
-def _sweep_coloring(n, mode, count, seed, window, max_rows, want_traces) -> Report:
-    columns = ("instance", "g0", "g1", "size", "color", "direction", "ok")
+    columns, make, check = _KINDS[kind]
     rows: List[Tuple] = []
     traces: List[str] = []
     failures = 0
-    if mode == "exhaustive":
-        _check_exhaustive(n)
-        instances = ((code, PairColoring(n, code)) for code in range(1 << pair_count(n)))
-        total = 1 << pair_count(n)
-    else:
-        instances = ((i, make_coloring(n, s)) for i, s in _sample_seeds(seed, count))
-        total = count
-    for ident, coloring in instances:
-        trace = rt22_solve(coloring, window)
-        ok = verify_trace(trace, coloring).ok  # its final stage checks homogeneity
-        if not ok:
-            failures += 1
-        if len(rows) < max_rows:
-            rows.append((ident, len(trace.cohesive_set), len(trace.transitive_set),
-                         len(trace.final_set), trace.final_color,
-                         trace.monotone_direction, int(ok)))
-            if want_traces:
-                traces.append(trace.to_json())
-    return Report(kind="coloring", n=n, mode=mode, seed=seed, columns=columns,
-                  rows=rows, count=total, failures=failures,
-                  truncated=total > len(rows), traces=traces)
-
-
-def _sweep_tournament(n, mode, count, seed, window, max_rows) -> Report:
-    columns = ("instance", "size", "transitive", "bound_ok", "ok")
-    if window is not None and window < 0:
-        raise ValueError(f"window must lie in [0, {n}]")
-    rows: List[Tuple] = []
-    failures = 0
-    w = window if window is not None else default_window(n)
-    if mode == "exhaustive":
-        _check_exhaustive(n)
+    if mode == "exhaustive" and kind == "tournament":
         total = 1 << pair_count(n)
         for lo in range(0, total, _TOURNAMENT_CHUNK):
             codes = np.arange(lo, min(lo + _TOURNAMENT_CHUNK, total), dtype=np.uint32)
-            chosen, transitive, b_ok = _tournament_chunk(n, codes, w)
+            chosen, transitive, b_ok = _tournament_chunk(n, codes, window)
             ok = transitive & b_ok
             failures += len(codes) - int(np.count_nonzero(ok))
-            room = min(max_rows - len(rows), len(codes))
-            if room > 0:
-                rows.extend(zip(codes[:room].tolist(), _POPCOUNT.take(chosen[:room]).tolist(),
-                                transitive[:room].astype(np.uint8).tolist(),
-                                b_ok[:room].astype(np.uint8).tolist(),
-                                ok[:room].astype(np.uint8).tolist()))
-        return Report(kind="tournament", n=n, mode=mode, seed=seed, columns=columns,
-                      rows=rows, count=total, failures=failures,
-                      truncated=total > len(rows))
-    total = count
-    bound = transitive_bound(n)
-    for ident, s in _sample_seeds(seed, count):
-        tournament = make_tournament(n, s)
-        chosen, _, _ = em_solve_masks(n, tournament.out, w)
-        subset = [x for x in range(n) if (chosen >> x) & 1]
-        transitive = is_transitive(tournament, subset).ok
-        b_ok = has_transitive_of_size(tournament, bound)
-        ok = transitive and b_ok
-        if not ok:
-            failures += 1
-        if len(rows) < max_rows:
-            rows.append((ident, len(subset), int(transitive), int(b_ok), int(ok)))
-    return Report(kind="tournament", n=n, mode=mode, seed=seed, columns=columns,
-                  rows=rows, count=total, failures=failures,
-                  truncated=total > len(rows))
-
-
-def _sweep_order(n, mode, count, seed, max_rows) -> Report:
-    columns = ("instance", "size", "direction", "monotone", "bound_ok", "ok")
-    rows: List[Tuple] = []
-    failures = 0
-    if mode == "exhaustive":
-        _check_exhaustive(n)
-        instances = ((i, LinearOrderInstance(n, perm))
-                     for i, perm in enumerate(itertools.permutations(range(n))))
-        total = factorial(n)
+            kept = slice(max_rows - len(rows))
+            rows.extend(zip(codes[kept].tolist(), _POPCOUNT.take(chosen[kept]).tolist(),
+                            *(c[kept].astype(np.uint8).tolist() for c in (transitive, b_ok, ok))))
     else:
-        instances = ((i, make_order(n, s)) for i, s in _sample_seeds(seed, count))
-        total = count
-    bound = ascdesc_bound(n)
-    for ident, order in instances:
-        result = ads_solve(order)
-        seq = result.sequence
-        ascending = result.direction == "ascending"
-        monotone = all(seq[i] < seq[i + 1] for i in range(len(seq) - 1)) and all(
-            order.less(seq[i], seq[i + 1]) == ascending for i in range(len(seq) - 1))
-        b_ok = len(seq) >= bound
-        ok = monotone and b_ok
-        if not ok:
-            failures += 1
-        if len(rows) < max_rows:
-            rows.append((ident, len(seq), result.direction, int(monotone), int(b_ok), int(ok)))
-    return Report(kind="order", n=n, mode=mode, seed=seed, columns=columns,
-                  rows=rows, count=total, failures=failures,
-                  truncated=total > len(rows))
-
-
-def _sweep_family(n, mode, count, seed, target, max_rows) -> Report:
-    if mode == "exhaustive":
-        raise ValueError("family sweeps are sample-only")
-    columns = ("instance", "size", "cohesive", "ok")
-    rows: List[Tuple] = []
-    failures = 0
-    goal = target if target is not None else n
-    for ident, s in _sample_seeds(seed, count):
-        family = make_family(n, s)
-        result = coh_solve(family, goal)
-        cohesive = verify_cohesive(family, result)
-        ok = cohesive
-        if not ok:
-            failures += 1
-        if len(rows) < max_rows:
-            rows.append((ident, len(result.chosen), int(cohesive), int(ok)))
-    return Report(kind="family", n=n, mode=mode, seed=seed, columns=columns,
-                  rows=rows, count=count, failures=failures,
-                  truncated=count > len(rows))
+        if mode == "sample":
+            total = count
+            instances = (make(n, (seed + i) & _MASK64) for i in range(count))
+        elif kind == "coloring":
+            total = 1 << pair_count(n)
+            instances = (PairColoring(n, code) for code in range(total))
+        else:
+            total = factorial(n)
+            instances = (LinearOrderInstance(n, p) for p in itertools.permutations(range(n)))
+        for ident, instance in enumerate(instances):
+            row, trace = check(instance, window, target)
+            failures += not row[-1]
+            if len(rows) < max_rows:
+                rows.append((ident, *row))
+                if want_traces and trace is not None:
+                    traces.append(trace.to_json())
+    return Report(kind=kind, n=n, mode=mode, seed=seed, columns=columns, rows=rows,
+                  count=total, failures=failures, truncated=total > len(rows),
+                  traces=traces)

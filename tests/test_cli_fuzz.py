@@ -68,6 +68,23 @@ def test_existing_messages_keep_their_text(argv, message):
     assert run_cli(*argv) == (1, "", message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ord", "eval", "w", "junk"], "error: ord eval takes no B\n"),
+    (["ord", "decode", "5", "junk"], "error: ord decode takes no B\n"),
+    (["ord", "encode", "w", "1"], "error: ord encode takes no B\n"),
+    (["ord", "nat-mul-omega", "w", "w"], "error: ord nat-mul-omega takes no B\n"),
+    (["ord", "omega-pow", "1", "2"], "error: ord omega-pow takes no B\n"),
+    (["ramsey", "sweep", "{missing}", "--kind", "order", "--n", "3", "--exhaustive"],
+     "error: ramsey sweep takes no instance file\n"),
+    (["ramsey", "sweep", "{missing}", "--kind", "order"],
+     "error: ramsey sweep takes no instance file\n"),
+    (["enum", "run", "{missing}"], "error: enum run takes no instance file\n"),
+])
+def test_an_unused_positional_argument_is_refused(tmp_path, argv, message):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    assert run_cli(*argv) == (1, "", message)
+
+
 def test_a_directory_as_file_is_an_error(tmp_path):
     code, out, err = run_cli("descent", "validate", str(tmp_path))
     assert (code, out) == (1, "")

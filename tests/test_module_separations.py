@@ -3,6 +3,8 @@
 The oracles share no code with the solvers or the checkers they are used
 to test, and the solvers take nothing from the oracles.  Imports are read
 from the source with `ast`, at any depth (a function-level import counts).
+Outside the package, `epsilon0.sweep` builds every report in one place:
+one `Report(...)` call and no per-kind `_sweep_<kind>` function.
 """
 
 import ast
@@ -80,3 +82,13 @@ def test_every_instance_format_lives_in_instances():
             assert getattr(instances, name).__module__ == "epsilon0.ramsey.instances"
     assert epsilon0.cli.parse_family is instances.parse_family
     assert epsilon0.cli.format_family is instances.format_family
+
+
+def test_sweep_builds_every_report_in_one_place():
+    sweep_py = Path(epsilon0.ramsey.__file__).resolve().parent.parent / "sweep.py"
+    tree = ast.parse(sweep_py.read_text())
+    reports = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "Report"]
+    assert len(reports) == 1
+    assert [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and f.name.startswith("_sweep_")] == []
