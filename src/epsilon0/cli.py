@@ -35,6 +35,7 @@ from .ordinal import (
 )
 from .ramsey.checkers import is_transitive
 from .ramsey.instances import (
+    _parse_int,
     format_coloring,
     format_family,
     format_order,
@@ -84,13 +85,13 @@ def _cmd_ord(args) -> int:
     elif op == "nat-add":
         print(format_ordinal(nat_add(a, parse_ordinal(b))))
     elif op == "nat-mul-k":
-        print(format_ordinal(nat_mul_k(a, int(b))))
+        print(format_ordinal(nat_mul_k(a, _parse_int(b))))
     elif op == "nat-mul-omega":
         print(format_ordinal(nat_mul_omega(a)))
     elif op == "omega-pow":
         print(format_ordinal(omega_pow(a)))
     elif op == "tower":
-        print(format_ordinal(tower(a, int(b))))
+        print(format_ordinal(tower(a, _parse_int(b))))
     else:  # encode
         # Decimal prints codes past the interpreter's int-to-str digit
         # limit; encode bounds them by MAX_CODE_BITS.
@@ -363,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("-o", "--output", default=None)
     p_generate.set_defaults(func=_cmd_generate)
 
+    # every `type=int` option is read by the file rule; a usage error still says `int`
+    for p in sub.choices.values():
+        p.register("type", int, _parse_int)
     return parser
 
 

@@ -66,6 +66,8 @@ def is_transitive(r: Tournament, subset: Iterable[int]) -> TransitivityCheck:
     """OK, or the first ordered triple (a, b, c) with a -> b -> c but not
     a -> c.  Sets of size <= 2 are vacuously transitive."""
     verts = sorted(set(subset))
+    if any(x < 0 or x >= r.n for x in verts):
+        raise ValueError("subset leaves the universe")
     for a in verts:
         for b in verts:
             if b == a or not r.beats(a, b):

@@ -17,6 +17,7 @@ File formats (one instance per file):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
@@ -203,9 +204,21 @@ class SetFamily:
 # File formats
 # ---------------------------------------------------------------------------
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    """An integer in ASCII digits with an optional minus sign, written whole;
+    int() alone would also take other digits, '+', '_' and blanks.  The CLI
+    reads its integer operands and options with it too."""
+    if _INT_RE.fullmatch(token) is None:
+        raise ValueError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
 def _parse_header(line: str) -> int:
     key, _, value = line.strip().partition("=")
-    if key != "n":
+    if key != "n" or _INT_RE.fullmatch(value) is None:
         raise ValueError(f"expected 'n=<int>' header, got {line!r}")
     n = int(value)
     if n < 0:
@@ -215,26 +228,25 @@ def _parse_header(line: str) -> int:
 
 def _parse_file(text: str) -> Tuple[int, Optional[str]]:
     """n from the header line and the line after it (None when the file
-    ends at the header); blank lines are skipped."""
+    ends at the header); blank lines are skipped, and a third line is
+    refused."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("missing the 'n=<int>' header line")
-    return _parse_header(lines[0]), (lines[1] if len(lines) > 1 else None)
+    n = _parse_header(lines[0])
+    if len(lines) > 2:
+        raise ValueError(f"unexpected line after the instance: {lines[2]!r}")
+    return n, (lines[1] if len(lines) > 1 else None)
 
 
 def _parse_bits(line: Optional[str], n: int) -> int:
-    if n <= 1:
-        return 0
-    if line is None:
+    if line is None and n > 1:
         raise ValueError(f"missing the line of {pair_count(n)} pair bits after the header")
-    line = line.strip()
+    line = (line or "").strip()
     if len(line) != pair_count(n) or set(line) - {"0", "1"}:
         raise ValueError(f"expected {pair_count(n)} bits of 0/1")
-    bits = 0
-    for i, ch in enumerate(line):
-        if ch == "1":
-            bits |= 1 << i
-    return bits
+    # bit i of the code is character i of the line
+    return int(line[::-1] or "0", 2)
 
 
 def _format_bits(bits: int, n: int) -> str:
@@ -263,7 +275,7 @@ def parse_order(text: str) -> LinearOrderInstance:
     n, body = _parse_file(text)
     if n and body is None:
         raise ValueError(f"missing the ranking line of {n} positions after the header")
-    ranking = tuple(int(tok) for tok in body.split()) if n else ()
+    ranking = tuple(_parse_int(tok) for tok in (body or "").split())
     return LinearOrderInstance(n, ranking)
 
 
@@ -275,18 +287,22 @@ def parse_family(text: str) -> SetFamily:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("missing the 'n=<int> m=<int>' header line")
-    header = dict(part.partition("=")[::2] for part in lines[0].split())
+    header = {}
+    for part in lines[0].split():
+        key, _, value = part.partition("=")
+        if key not in ("n", "m") or key in header or _INT_RE.fullmatch(value) is None:
+            raise ValueError(f"family header {lines[0]!r} is not 'n=<int> m=<int>'")
+        header[key] = int(value)
     for key in ("n", "m"):
         if key not in header:
             raise ValueError(f"family header {lines[0]!r} has no '{key}=<int>'")
-    n, m = int(header["n"]), int(header["m"])
+    n, m = header["n"], header["m"]
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be non-negative, got n={n} m={m}")
-    sets = []
-    for ln in lines[1:m + 1]:
-        sets.append(frozenset() if ln == "-" else frozenset(int(t) for t in ln.split()))
-    if len(sets) != m:
-        raise ValueError(f"expected {m} set lines, found {len(sets)}")
+    if len(lines) - 1 != m:
+        raise ValueError(f"expected {m} set lines, found {len(lines) - 1}")
+    sets = [frozenset() if ln == "-" else frozenset(_parse_int(t) for t in ln.split())
+            for ln in lines[1:]]
     return SetFamily(n, tuple(sets))
 
 

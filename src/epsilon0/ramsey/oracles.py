@@ -3,12 +3,14 @@
 These deliberately share no code with the greedy solvers: they enumerate
 candidate subsets directly (depth-first over vertex masks, with a simple
 remaining-vertices prune) and exist to check the solvers against ground
-truth on small instances.  Intended for n <= 16.
+truth on small instances.  Intended for n <= 16.  Each property has one
+search; the threshold query `has_*_of_size(., k)` is that search run from
+the floor k - 1 and stopped at its first find.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 from .instances import PairColoring, Tournament
 
@@ -20,25 +22,17 @@ __all__ = [
 
 
 def _mask_to_set(mask: int) -> FrozenSet[int]:
-    out = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def brute_max_homogeneous(f: PairColoring) -> Tuple[int, FrozenSet[int]]:
-    """Exact maximum size of a one-colored subset, with a witness.
+def _max_homogeneous(f: PairColoring, floor: int, first: bool) -> Tuple[int, int]:
+    """Largest one-colored set bigger than `floor`, as (size, mask), or
+    (floor, 0) if there is none; with `first`, the first such set found.
 
     For each color this is a maximum-clique search in the graph of pairs
     of that color, extended one vertex at a time in ascending order.
     """
     n = f.n
-    if n == 0:
-        return 0, frozenset()
     # adj[c][x]: vertices y adjacent to x through a color-c pair
     adj = [[0] * n for _ in range(2)]
     for x in range(n):
@@ -46,26 +40,27 @@ def brute_max_homogeneous(f: PairColoring) -> Tuple[int, FrozenSet[int]]:
             c = f.color(x, y)
             adj[c][x] |= 1 << y
             adj[c][y] |= 1 << x
+    best_size, best_mask = floor, 0
 
-    best_size = 1
-    best_mask = 1  # vertex 0 alone; any singleton is homogeneous
-
-    def extend(color: int, mask: int, size: int, candidates: int) -> None:
+    def extend(color: int, mask: int, size: int, candidates: int) -> bool:
         nonlocal best_size, best_mask
         if size > best_size:
             best_size, best_mask = size, mask
+            if first:
+                return True
         while candidates:
             v = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
             if size + 1 + candidates.bit_count() <= best_size:
                 break
-            extend(color, mask | (1 << v), size + 1, candidates & adj[color][v])
+            if extend(color, mask | (1 << v), size + 1, candidates & adj[color][v]):
+                return True
+        return False
 
     for color in (0, 1):
-        for v in range(n):
-            rest = adj[color][v] & ~((1 << (v + 1)) - 1)
-            extend(color, 1 << v, 1, rest)
-    return best_size, _mask_to_set(best_mask)
+        if extend(color, 0, 0, (1 << n) - 1):
+            break
+    return best_size, best_mask
 
 
 def is_transitive_mask(out: Sequence[int], mask: int) -> bool:
@@ -84,82 +79,55 @@ def is_transitive_mask(out: Sequence[int], mask: int) -> bool:
     return True
 
 
-def brute_max_transitive(r: Tournament) -> Tuple[int, FrozenSet[int]]:
-    """Exact maximum size of a transitive subtournament, with a witness.
+def _max_transitive(r: Tournament, floor: int, first: bool) -> Tuple[int, int]:
+    """Largest transitive set bigger than `floor`, as (size, mask), or
+    (floor, 0) if there is none; with `first`, the first such set found.
 
     Depth-first over vertex sets in ascending order; a branch dies when
     even taking every remaining vertex could not beat the current best.
     """
     n = r.n
-    if n == 0:
-        return 0, frozenset()
     out = r.out
-    best_size = 1
-    best_mask = 1
+    best_size, best_mask = floor, 0
 
-    def extend(mask: int, size: int, nxt: int) -> None:
+    def extend(mask: int, size: int, nxt: int) -> bool:
         nonlocal best_size, best_mask
         if size > best_size:
             best_size, best_mask = size, mask
+            if first:
+                return True
         for v in range(nxt, n):
             if size + 1 + (n - v - 1) <= best_size:
-                break
-            new_mask = mask | (1 << v)
-            if is_transitive_mask(out, new_mask):
-                extend(new_mask, size + 1, v + 1)
-
-    extend(0, 0, 0)
-    return best_size, _mask_to_set(best_mask)
-
-
-def has_homogeneous_of_size(f: PairColoring, k: int) -> bool:
-    """Early-exit exhaustive search for a one-colored subset of size k.
-
-    Equivalent to brute_max_homogeneous(f)[0] >= k since homogeneity is
-    preserved by taking subsets.
-    """
-    if k <= 1:
-        return f.n >= k
-    n = f.n
-    adj = [[0] * n for _ in range(2)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            c = f.color(x, y)
-            adj[c][x] |= 1 << y
-            adj[c][y] |= 1 << x
-
-    def extend(color: int, size: int, candidates: int, start: int) -> bool:
-        if size == k:
-            return True
-        v = start
-        while candidates >> v:
-            if (candidates >> v) & 1:
-                if size + 1 + (candidates >> (v + 1)).bit_count() >= k:
-                    if extend(color, size + 1, candidates & adj[color][v], v + 1):
-                        return True
-            v += 1
-        return False
-
-    full = (1 << n) - 1
-    return any(extend(c, 0, full, 0) for c in (0, 1))
-
-
-def has_transitive_of_size(r: Tournament, k: int) -> bool:
-    """Early-exit exhaustive search for a transitive subset of size k."""
-    if k <= 1:
-        return r.n >= k
-    n = r.n
-    out = r.out
-
-    def extend(mask: int, size: int, nxt: int) -> bool:
-        if size == k:
-            return True
-        for v in range(nxt, n):
-            if size + (n - v) < k:
                 break
             new_mask = mask | (1 << v)
             if is_transitive_mask(out, new_mask) and extend(new_mask, size + 1, v + 1):
                 return True
         return False
 
-    return extend(0, 0, 0)
+    extend(0, 0, 0)
+    return best_size, best_mask
+
+
+def brute_max_homogeneous(f: PairColoring) -> Tuple[int, FrozenSet[int]]:
+    """Exact maximum size of a one-colored subset, with a witness."""
+    size, mask = _max_homogeneous(f, 0, first=False)
+    return size, _mask_to_set(mask)
+
+
+def brute_max_transitive(r: Tournament) -> Tuple[int, FrozenSet[int]]:
+    """Exact maximum size of a transitive subtournament, with a witness."""
+    size, mask = _max_transitive(r, 0, first=False)
+    return size, _mask_to_set(mask)
+
+
+def has_homogeneous_of_size(f: PairColoring, k: int) -> bool:
+    """Whether some one-colored subset has size k: the maximum search
+    from floor k - 1, stopped at its first find (homogeneity is preserved
+    by taking subsets, so a bigger set has one of size k)."""
+    return _max_homogeneous(f, k - 1, first=True)[0] >= k
+
+
+def has_transitive_of_size(r: Tournament, k: int) -> bool:
+    """Whether some transitive subset has size k, by the maximum search
+    from floor k - 1, stopped at its first find."""
+    return _max_transitive(r, k - 1, first=True)[0] >= k

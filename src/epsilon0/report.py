@@ -19,7 +19,9 @@ summary).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Report", "summarize_rows", "emit", "parse_tsv"]
@@ -52,20 +54,24 @@ class Report:
         ]
 
 
+def _value_counts(rows: Sequence[Tuple], column: int) -> Counter:
+    """How often each integer value occurs in one column, with one int() per distinct cell."""
+    counts: Counter = Counter()
+    for cell, times in Counter(map(itemgetter(column), rows)).items():
+        counts[int(cell)] += times
+    return counts
+
+
 def summarize_rows(columns: Sequence[str], rows: Sequence[Tuple]) -> Dict[str, int]:
     """Aggregates recomputed from rows: total, ok/failed counts from the
     `ok` column if present, and a size histogram from the `size` column."""
     out: Dict[str, int] = {"instances": len(rows)}
     if "ok" in columns:
-        idx = list(columns).index("ok")
-        ok = sum(1 for r in rows if int(r[idx]) == 1)
+        ok = _value_counts(rows, list(columns).index("ok"))[1]
         out["valid"] = ok
         out["invalid"] = len(rows) - ok
     if "size" in columns:
-        idx = list(columns).index("size")
-        hist: Dict[int, int] = {}
-        for r in rows:
-            hist[int(r[idx])] = hist.get(int(r[idx]), 0) + 1
+        hist = _value_counts(rows, list(columns).index("size"))
         for size in sorted(hist):
             out[f"size_{size}"] = hist[size]
     return out

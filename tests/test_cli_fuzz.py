@@ -7,6 +7,7 @@ n <= 5, --count <= 20, --depth/--branching <= 3, tower height <= 300,
 files <= 2 KB) so that no case allocates much memory, and no process is
 started."""
 
+import argparse
 import ast
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -83,6 +84,47 @@ def test_existing_messages_keep_their_text(argv, message):
 def test_an_unused_positional_argument_is_refused(tmp_path, argv, message):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     assert run_cli(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ord", "nat-mul-k", "w", "٣"], "error: expected an integer, got '٣'\n"),
+    (["ord", "nat-mul-k", "w", "+3"], "error: expected an integer, got '+3'\n"),
+    (["ord", "tower", "w", " 2_0"], "error: expected an integer, got ' 2_0'\n"),
+    (["ord", "tower", "w", "2 "], "error: expected an integer, got '2 '\n"),
+    (["ord", "nat-mul-k", "w", "-3"], "error: k must be non-negative\n"),
+    (["sweep", "--kind", "order", "--n", "-2", "--exhaustive"],
+     "error: n must be non-negative, got -2\n"),
+])
+def test_integer_operands_take_ascii_digits(argv, message):
+    assert run_cli(*argv) == (1, "", message)
+
+
+def test_integer_operands_still_read_leading_zeros():
+    assert run_cli("ord", "tower", "1", "02") == (0, "w^(w)\n", "")
+
+
+def _int_options():
+    """(subcommand, option) for every `type=int` option of the parser."""
+    sub = next(a for a in epsilon0.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1]) for name, p in sub.choices.items()
+            for action in p._actions if action.type is int]
+
+
+def test_every_int_option_is_found():
+    assert ("sweep", "--n") in _int_options()
+    assert ("enum", "--depth") in _int_options()
+    assert len(_int_options()) == 19
+
+
+@pytest.mark.parametrize("command, option", _int_options())
+@pytest.mark.parametrize("value", ["٣", "+3", "0_3", " 3", "3 "])
+def test_integer_options_take_ascii_digits(command, option, value):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([command, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid int value: {value!r}" in err.getvalue()
 
 
 def test_a_directory_as_file_is_an_error(tmp_path):

@@ -147,3 +147,50 @@ def test_cli_reports_malformed_instance_files(tmp_path, op, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # numbers in ASCII digits only, written whole
+    (parse_coloring, "n=٣\n101\n", "expected 'n=<int>' header"),
+    (parse_coloring, "n=+3\n101\n", "expected 'n=<int>' header"),
+    (parse_coloring, "n=0_3\n101\n", "expected 'n=<int>' header"),
+    (parse_coloring, "n= 3\n101\n", "expected 'n=<int>' header"),
+    (parse_tournament, "n=٣\n101\n", "expected 'n=<int>' header"),
+    (parse_order, "n=٣\n2 0 1\n", "expected 'n=<int>' header"),
+    (parse_order, "n=3\n٢ 0 1\n", "expected an integer, got '٢'"),
+    (parse_order, "n=3\n+2 0 1\n", "expected an integer, got '\\+2'"),
+    (parse_order, "n=3\n2 0 0_1\n", "expected an integer, got '0_1'"),
+    (parse_family, "n=2 m=1\n٠\n", "expected an integer, got '٠'"),
+    (parse_family, "n=٢ m=1\n0\n", "family header"),
+    (parse_family, "n=2 m=+1\n0\n", "family header"),
+    # nothing after the instance
+    (parse_coloring, "n=3\n101\n111\n", "unexpected line after the instance: '111'"),
+    (parse_tournament, "n=3\n101\n111\n", "unexpected line after the instance: '111'"),
+    (parse_order, "n=2\n1 0\n7 7\n", "unexpected line after the instance: '7 7'"),
+    (parse_family, "n=2 m=1\n0\n1\n", "expected 1 set lines, found 2"),
+    # no bits line when n <= 1
+    (parse_coloring, "n=1\nxyz\n", "expected 0 bits of 0/1"),
+    (parse_tournament, "n=0\n1\n", "expected 0 bits of 0/1"),
+    (parse_order, "n=0\n0\n", "ranking must be a permutation"),
+    # the family header has n and m once each, and nothing else
+    (parse_family, "n=2 m=1 x=9\n0\n", "family header"),
+    (parse_family, "n=2 m=1 n=5\n0\n", "family header"),
+    (parse_family, "n=2 m\n0\n", "family header"),
+])
+def test_parsers_read_the_whole_file_in_ascii_digits(parse, text, message):
+    with pytest.raises(ValueError, match=message):
+        parse(text)
+
+
+def test_parsers_still_take_blank_lines_and_either_header_order():
+    assert parse_coloring("  n=3  \n\n 101 \n\n") == PairColoring(3, 0b101)
+    assert parse_coloring("n=1\n\n") == PairColoring(1, 0)
+    assert parse_order("n=0\n") == LinearOrderInstance(0, ())
+    assert parse_family("m=1 n=2\n-\n") == SetFamily(2, (frozenset(),))
+
+
+def test_cli_refuses_a_non_ascii_header(tmp_path):
+    path = tmp_path / "instance.txt"
+    path.write_text("n=٣\n101\n", encoding="utf-8")
+    assert run_cli("ramsey", "solve", str(path)) == (
+        1, "", "error: expected 'n=<int>' header, got 'n=٣'\n")

@@ -3,6 +3,8 @@
 The oracles share no code with the solvers or the checkers they are used
 to test, and the solvers take nothing from the oracles.  Imports are read
 from the source with `ast`, at any depth (a function-level import counts).
+Each property has one oracle search: the threshold queries run the
+maximum search from a floor and define no search of their own.
 Outside the package, `epsilon0.sweep` builds every report in one place:
 one `Report(...)` call and no per-kind `_sweep_<kind>` function.
 """
@@ -53,6 +55,18 @@ def test_the_solvers_import_no_oracle():
 def test_the_import_reader_sees_relative_imports():
     assert "epsilon0.ramsey.instances" in _imported_modules("oracles")
     assert "epsilon0.ramsey.checkers.coloring_is_transitive" in _imported_modules("solvers")
+
+
+def test_the_oracles_have_one_search_per_property():
+    tree = ast.parse((RAMSEY / "oracles.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    nested = {f.name: [g.name for g in ast.walk(f) if g is not f
+                       and isinstance(g, ast.FunctionDef)] for f in functions}
+    assert sum(len(names) for names in nested.values()) == 2
+    assert sorted(f for f, names in nested.items() if names) == [
+        "_max_homogeneous", "_max_transitive"]
+    assert nested["has_homogeneous_of_size"] == []
+    assert nested["has_transitive_of_size"] == []
 
 
 def test_the_package_exports_stay_the_same():

@@ -134,6 +134,12 @@ def test_order_roundtrip_exhaustive():
             assert order_from_transitive_coloring(f).ranking == perm
 
 
+@pytest.mark.parametrize("subset", [[-1, 0, 1], [0, 1, 3], [3]])
+def test_is_transitive_refuses_vertices_outside_the_universe(subset):
+    with pytest.raises(ValueError, match="subset leaves the universe"):
+        is_transitive(three_cycle(), subset)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
