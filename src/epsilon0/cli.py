@@ -372,13 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command: its exit code, or 1 with `error: <message>` on
-    stderr for a rejected input (ValueError, ArithmeticError, OSError).
-    Usage errors leave through argparse with exit code 2."""
+    stderr for a rejected input (ValueError, ArithmeticError, OSError) or
+    an input too large for memory (`error: out of memory`).  Usage errors
+    leave through argparse with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         return FAIL
 
 

@@ -256,20 +256,29 @@ class RankAssignment:
                 raise ValueError(f"rank of {node} is not below the bound")
 
 
+def _bottom_up(tree: LabeledTree, own) -> Ordinal:
+    """The root's value, where a node's value is `own(node, kids)` (None
+    for nothing) natural-summed with its children's values in order; nodes
+    are entered in depth-first pre-order on an explicit stack, not by recursion."""
+    kids = tree.children(ROOT)
+    stack = [[iter(kids), own(ROOT, kids)]]
+    while True:
+        kid = next(stack[-1][0], None)
+        if kid is not None:
+            kids = tree.children(kid)
+            stack.append([iter(kids), own(kid, kids)])
+            continue
+        value = stack.pop()[1]
+        if not stack:
+            return value
+        parent = stack[-1]
+        parent[1] = value if parent[1] is None else nat_add(parent[1], value)
+
+
 def zeta_measure(tree: LabeledTree, ranks: RankAssignment) -> Ordinal:
     """Bottom-up measure: leaves give w^rank, internal nodes the natural
     sum of their children.  Always below w^bound."""
-
-    def value(node: Node) -> Ordinal:
-        kids = tree.children(node)
-        if not kids:
-            return omega_pow(ranks.get(node))
-        total = value(kids[0])
-        for kid in kids[1:]:
-            total = nat_add(total, value(kid))
-        return total
-
-    return value(ROOT)
+    return _bottom_up(tree, lambda node, kids: None if kids else omega_pow(ranks.get(node)))
 
 
 @dataclass(frozen=True)
@@ -312,17 +321,12 @@ def zeta_pair_measure(tree: LabeledTree,
     (2 - #children), combined with its children by natural sum.
     """
 
-    def value(node: Node) -> Ordinal:
-        kids = tree.children(node)
+    def own(node: Node, kids: List[Node]) -> Ordinal:
         if len(kids) > 2:
             raise ValueError(f"node {node} has {len(kids)} children; tree must be binary")
-        slot = omega_pow(from_int(f0[node] + f1[node]))
-        total = nat_mul_k(slot, 2 - len(kids))
-        for kid in kids:
-            total = nat_add(total, value(kid))
-        return total
+        return nat_mul_k(omega_pow(from_int(f0[node] + f1[node])), 2 - len(kids))
 
-    return value(ROOT)
+    return _bottom_up(tree, own)
 
 
 def extendible_node(tree: LabeledTree, level: int) -> Node:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 __all__ = [
-    "pair_index", "pair_count", "all_pairs",
+    "pair_index", "pair_count",
     "PairColoring", "Tournament", "LinearOrderInstance", "SetFamily",
     "parse_coloring", "format_coloring",
     "parse_tournament", "format_tournament",
@@ -45,16 +46,10 @@ def pair_index(x: int, y: int, n: int) -> int:
     return x * (2 * n - x - 1) // 2 + (y - x - 1)
 
 
-def all_pairs(n: int) -> Iterator[Tuple[int, int]]:
-    for x in range(n):
-        for y in range(x + 1, n):
-            yield x, y
-
-
 @lru_cache(maxsize=64)
 def _pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
     """The pairs (x, y), x < y, in pair order."""
-    return tuple(all_pairs(n))
+    return tuple(combinations(range(n), 2))
 
 
 @dataclass(frozen=True)
@@ -88,25 +83,23 @@ class PairColoring:
             bits ^= low
         return tuple(adj)
 
+    @cached_property
+    def out(self) -> Tuple[int, ...]:
+        """out[x] is the out-mask of x in the tournament of the coloring,
+        where x beats the y above it with f(x, y) = 1 and the y below it
+        with f(y, x) = 0; computed on first use and kept on the instance."""
+        adj = self.adj
+        return tuple(adj[x] ^ ((1 << x) - 1) for x in range(self.n))
+
     @classmethod
     def from_function(cls, n: int, fn) -> "PairColoring":
-        bits = 0
-        for x, y in all_pairs(n):
-            if fn(x, y):
-                bits |= 1 << pair_index(x, y, n)
-        return cls(n, bits)
+        return cls(n, sum(1 << i for i, (x, y) in enumerate(_pair_table(n)) if fn(x, y)))
 
     def restrict(self, vertices: Sequence[int]) -> "PairColoring":
         """Induced coloring on the given vertices after re-indexing them
         to 0..k-1 in the listed (ascending) order."""
         verts = list(vertices)
-        k = len(verts)
-        bits = 0
-        for a in range(k):
-            for b in range(a + 1, k):
-                if self.color(verts[a], verts[b]):
-                    bits |= 1 << pair_index(a, b, k)
-        return PairColoring(k, bits)
+        return PairColoring.from_function(len(verts), lambda a, b: self.color(verts[a], verts[b]))
 
 
 @dataclass(frozen=True)
@@ -137,19 +130,14 @@ class Tournament:
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "Tournament":
-        """bit 1 at pair (x, y), x < y, means the edge x -> y: x beats the
-        y above it with f(x, y) = 1 and the y below it with f(y, x) = 0,
-        so out[x] = adj[x] ^ ((1 << x) - 1) over the coloring of `bits`.
-        Raises ValueError for bits outside the C(n,2)-bit range."""
-        adj = PairColoring(n, bits).adj
-        return cls(n, tuple(adj[x] ^ ((1 << x) - 1) for x in range(n)))
+        """bit 1 at pair (x, y), x < y, means the edge x -> y: the
+        tournament `PairColoring.out` of the coloring of `bits`.  Raises
+        ValueError for bits outside the C(n,2)-bit range."""
+        return cls(n, PairColoring(n, bits).out)
 
     def to_bits(self) -> int:
-        bits = 0
-        for x, y in all_pairs(self.n):
-            if self.beats(x, y):
-                bits |= 1 << pair_index(x, y, self.n)
-        return bits
+        out = self.out
+        return sum(1 << i for i, (x, y) in enumerate(_pair_table(self.n)) if (out[x] >> y) & 1)
 
     @classmethod
     def from_order(cls, ranking: Sequence[int]) -> "Tournament":
@@ -186,18 +174,19 @@ class SetFamily:
     sets: Tuple[FrozenSet[int], ...]
 
     def __post_init__(self):
+        masks = []
         for i, s in enumerate(self.sets):
-            if any(x < 0 or x >= self.n for x in s):
+            if s and (min(s) < 0 or max(s) >= self.n):
                 raise ValueError(f"set {i} leaves the universe [0,{self.n})")
+            mask = 0
+            for x in s:
+                mask |= 1 << x
+            masks.append(mask)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def masks(self) -> Tuple[int, ...]:
-        out = []
-        for s in self.sets:
-            m = 0
-            for x in s:
-                m |= 1 << x
-            out.append(m)
-        return tuple(out)
+        """The bit mask of each set, built with the instance."""
+        return self._masks
 
 
 # ---------------------------------------------------------------------------

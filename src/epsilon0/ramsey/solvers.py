@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from math import ceil
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .checkers import coloring_is_transitive
+from .checkers import _cohesive_offender, _off_color_pair, _subset_mask, coloring_is_transitive
 from .instances import LinearOrderInstance, PairColoring, SetFamily, Tournament
 
 __all__ = [
@@ -76,17 +76,9 @@ class Classification:
         return UNDECIDED
 
 
-def _mask(verts) -> int:
-    """The bit mask of distinct vertex ids."""
-    mask = 0
-    for x in verts:
-        mask |= 1 << x
-    return mask
-
-
-def _window_mask(verts: Sequence[int], w: int) -> int:
-    """Mask of the top w of the ascending vertex ids `verts`."""
-    return _mask(verts[max(len(verts) - w, 0):])
+def _window_mask(n: int, verts: Sequence[int], w: int) -> int:
+    """Mask of the top w of the ascending vertex ids `verts` in [0, n)."""
+    return _subset_mask(n, verts[max(len(verts) - w, 0):])
 
 
 def _classify_masks(out: Sequence[int], verts: Sequence[int], wmask: int) -> List[int]:
@@ -118,7 +110,7 @@ def limit_classification(r: Tournament, w: int) -> Classification:
     if w > r.n or w < 0:
         raise ValueError(f"window must lie in [0, {r.n}]")
     verts = range(r.n)
-    return _classification(w, _classify_masks(r.out, verts, _window_mask(verts, w)))
+    return _classification(w, _classify_masks(r.out, verts, _window_mask(r.n, verts, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +245,7 @@ def em_solve_masks(n: int, out: Sequence[int], w: int) -> Tuple[int, List[Tuple[
     """Core of em_solve on raw out-masks; returns (subset mask, steps,
     completions).  Kept allocation-light for exhaustive sweeps."""
     verts = range(n)
-    _, chosen, steps, completed = _em_core(out, verts, (1 << n) - 1, _window_mask(verts, w))
+    _, chosen, steps, completed = _em_core(out, verts, (1 << n) - 1, _window_mask(n, verts, w))
     return chosen, steps, completed
 
 
@@ -274,7 +266,7 @@ def em_solve(r: Tournament, w: Optional[int] = None) -> EmResult:
         raise ValueError(f"window must lie in [0, {r.n}]")
     verts = range(r.n)
     sides, chosen, steps, completed = _em_core(
-        r.out, verts, (1 << r.n) - 1, _window_mask(verts, w))
+        r.out, verts, (1 << r.n) - 1, _window_mask(r.n, verts, w))
     return EmResult(
         subset=tuple(x for x in verts if (chosen >> x) & 1),
         classification=_classification(w, sides),
@@ -421,12 +413,12 @@ def rt22_solve(f: PairColoring, window: Optional[int] = None) -> SolverTrace:
     Every stage runs on the coloring's adjacency masks `f.adj`, over the
     original vertex ids.  The cohesive family is R_x = adj[x].  EM runs on
     the tournament x -> y iff (x < y and f(x,y) = 1) or (x > y and
-    f(x,y) = 0), whose out-mask is adj[x] ^ ((1 << x) - 1), with G0 as
-    the universe and the top w0 of G0 as the window; w0 defaults to
-    ceil(|G0|/3), or is the given window clipped to |G0|.  The linear
-    order of the transitive coloring on G1 ranks each vertex by its
-    in-degree within G1, and the monotone stage is the longest ascending
-    or descending run of those ranks.  `verify_trace` checks the result.
+    f(x,y) = 0), whose out-masks are `f.out`, with G0 as the universe and
+    the top w0 of G0 as the window; w0 defaults to ceil(|G0|/3), or is
+    the given window clipped to |G0|.  The linear order of the transitive
+    coloring on G1 ranks each vertex by its in-degree within G1, and the
+    monotone stage is the longest ascending or descending run of those
+    ranks.  `verify_trace` checks the result.
     """
     n = f.n
     if n < 1:
@@ -439,8 +431,8 @@ def rt22_solve(f: PairColoring, window: Optional[int] = None) -> SolverTrace:
     w0 = min(window, len(g0)) if window is not None else default_window(len(g0))
     if w0 < 0:
         raise ValueError(f"window must lie in [0, {len(g0)}]")
-    out = [adj[x] ^ ((1 << x) - 1) for x in range(n)]
-    _, chosen, steps, _ = _em_core(out, g0, _mask(g0), _window_mask(g0, w0))
+    out = f.out
+    _, chosen, steps, _ = _em_core(out, g0, _subset_mask(n, g0), _window_mask(n, g0, w0))
     g1 = [x for x in g0 if (chosen >> x) & 1]
 
     # L-rank: the number of G1 vertices beating x (x itself is in chosen
@@ -480,8 +472,9 @@ def verify_trace(trace: SolverTrace, f: PairColoring) -> TraceCheck:
 
     Stages are checked in pipeline order — cohesive, transitive, monotone,
     final — and the first failure is reported.  Every property is tested
-    on the coloring's adjacency masks `f.adj`; the first offending element
-    is the lowest bit of a mask of offenders, and `coloring_is_transitive`
+    on the coloring's adjacency masks `f.adj`: the cohesive and monotone
+    stages run the checkers' cohesive and off-color-pair searches, the
+    transitive stage its own score test, and `coloring_is_transitive`
     names the witness triple once transitivity is known to fail.  The
     monotone stage checks every pair of the final set, so homogeneity is
     checked once, there.
@@ -490,29 +483,25 @@ def verify_trace(trace: SolverTrace, f: PairColoring) -> TraceCheck:
     if trace.n != n:
         return TraceCheck(False, "cohesive", "vertex count mismatch")
     c = list(trace.cohesive_set)
-    if c != sorted(set(c)) or any(x < 0 or x >= n for x in c):
+    if c != sorted(set(c)) or c and (c[0] < 0 or c[-1] >= n):   # c ascends
         return TraceCheck(False, "cohesive", "not an ascending subset of the universe")
     if len(trace.cohesive_sides) != n or len(trace.cohesive_thresholds) != n:
         return TraceCheck(False, "cohesive", "one side and threshold per vertex set required")
     adj = f.adj
-    cmask = _mask(c)
-    for i in range(n):
-        side, thr = trace.cohesive_sides[i], trace.cohesive_thresholds[i]
-        # the elements at or above the threshold; i itself is never in adj[i]
-        above = cmask if thr <= 0 else cmask >> thr << thr if thr < n else 0
-        bad = above & ~adj[i] if side else above & adj[i]
-        if bad:
-            x = (bad & -bad).bit_length() - 1
-            return TraceCheck(
-                False, "cohesive",
-                f"element {x} above threshold {thr} breaks side {side} of set {i}")
+    # the sets are R_i = adj[i]; i itself is never in adj[i]
+    sides, thresholds = trace.cohesive_sides, trace.cohesive_thresholds
+    offender = _cohesive_offender(adj, _subset_mask(n, c), sides, thresholds)
+    if offender is not None:
+        i, x = offender
+        return TraceCheck(False, "cohesive", f"element {x} above threshold {thresholds[i]} "
+                          f"breaks side {sides[i]} of set {i}")
 
     g1 = list(trace.transitive_set)
     if not set(g1) <= set(c) or g1 != sorted(set(g1)):
         return TraceCheck(False, "transitive", "not a subset of the cohesive stage")
     # score test on the tournament x -> y iff f(x,y) == (x < y): the set is
     # transitive iff its out-degrees within the set are distinct
-    g1mask = _mask(g1)
+    g1mask = _subset_mask(n, g1)
     seen = 0
     for x in g1:
         score = 1 << (g1mask & (adj[x] ^ ((1 << x) - 1))).bit_count()
@@ -527,15 +516,10 @@ def verify_trace(trace: SolverTrace, f: PairColoring) -> TraceCheck:
     if trace.monotone_direction not in ("ascending", "descending"):
         return TraceCheck(False, "monotone", "unknown direction")
     want = 1 if trace.monotone_direction == "ascending" else 0
-    hmask = _mask(h)
-    for x in h:
-        above = hmask & -(2 << x)
-        bad = above & ~adj[x] if want else above & adj[x]
-        if bad:
-            return TraceCheck(
-                False, "monotone",
-                f"pair ({x},{(bad & -bad).bit_length() - 1}) breaks "
-                f"{trace.monotone_direction} monotonicity")
+    pair = _off_color_pair(adj, _subset_mask(n, h), want)
+    if pair is not None:
+        return TraceCheck(False, "monotone", f"pair ({pair[0]},{pair[1]}) breaks "
+                          f"{trace.monotone_direction} monotonicity")
 
     if list(trace.final_set) != h:
         return TraceCheck(False, "final", "final set differs from the monotone stage")

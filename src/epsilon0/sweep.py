@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .generate import make_coloring, make_family, make_order, make_tournament
-from .ramsey.checkers import is_transitive
+from .ramsey.checkers import _cohesive_offender, _subset_mask, is_transitive
 from .ramsey.instances import (
     LinearOrderInstance,
     PairColoring,
@@ -71,13 +71,13 @@ def ascdesc_bound(k: int) -> int:
 
 def verify_cohesive(family: SetFamily, result: CohResult) -> bool:
     """Every chosen element at or above a set's threshold lies on the
-    recorded side of that set."""
-    for i, s in enumerate(family.sets):
-        side, thr = result.sides[i], result.thresholds[i]
-        for x in result.chosen:
-            if x >= thr and ((x in s) != bool(side)):
-                return False
-    return True
+    recorded side of that set.  False when the side or threshold count is
+    not the set count; ValueError for a chosen element outside [0, n)."""
+    m = len(family.sets)
+    if len(result.sides) != m or len(result.thresholds) != m:
+        return False
+    return _cohesive_offender(family.masks(), _subset_mask(family.n, result.chosen),
+                              result.sides, result.thresholds) is None
 
 
 #: Codes per numpy chunk of an exhaustive tournament sweep.
@@ -135,7 +135,7 @@ def _tournament_chunk(n: int, codes: np.ndarray, w: int
     transitive, bound_ok).  Both EM passes take the vertices in the same
     order as the scalar `_em_core`, all codes in step."""
     out = _out_mask_array(n, codes)
-    wmask = _window_mask(range(n), w)
+    wmask = _window_mask(n, range(n), w)
     reservoir = np.full(len(codes), (1 << n) - 1, dtype=np.uint8)
     chosen = np.zeros(len(codes), dtype=np.uint8)
     for x, row in enumerate(out):

@@ -154,7 +154,28 @@ def test_cli_has_one_try_in_main():
     assert owners == ["main"]
     assert sum(isinstance(node, ast.Try) for node in ast.walk(tree)) == 1
     (handler,) = next(node for node in ast.walk(tree) if isinstance(node, ast.Try)).handlers
-    assert ast.unparse(handler.type) == "(ValueError, ArithmeticError, OSError)"
+    assert ast.unparse(handler.type) == "(ValueError, ArithmeticError, OSError, MemoryError)"
+
+
+def test_enum_measure_takes_a_chain_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "chain.log"
+    adds = [f"add {'.'.join('0' * d)} rank={1500 - d}" for d in range(1, 1501)]
+    path.write_text("\n".join(["bound=w^(2)", "root rank=w", "stage 1", *adds]) + "\n")
+    assert run_cli("enum", "measure", str(path)) == (
+        0, "stage=0 zeta=w^(w)\nstage=1 zeta=1\ndecrease ok\n", "")
+
+
+def test_out_of_memory_is_an_error(tmp_path, monkeypatch):
+    """A family of 10^12 elements makes coh_solve ask for a 10^12-bit
+    mask; the stub raises MemoryError as that request would, without
+    allocating (whether it fails fast depends on the machine)."""
+    def out_of_memory(family, target):
+        raise MemoryError
+
+    monkeypatch.setattr(epsilon0.cli, "coh_solve", out_of_memory)
+    path = tmp_path / "family.txt"
+    path.write_text("n=1000000000000 m=0\n")
+    assert run_cli("ramsey", "coh", str(path)) == (1, "", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------------------

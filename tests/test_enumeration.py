@@ -301,6 +301,32 @@ def test_zeta_pair_rejects_wide_nodes():
         zeta_pair_measure(wide, zeros, zeros)
 
 
+def _chain(depth):
+    return LabeledTree([(0,) * d for d in range(depth + 1)])
+
+
+def test_zeta_measures_take_a_chain_past_the_recursion_limit():
+    chain = _chain(1500)
+    leaf = (0,) * 1500
+    assert zeta_measure(chain, RankAssignment({leaf: from_int(3)}, o("w"))) == o("w^(3)")
+    # 1,500 one-child nodes contribute w^0 once each, the leaf w^0 twice
+    zeros = {node: 0 for node in chain.nodes}
+    assert zeta_pair_measure(chain, zeros, zeros) == from_int(1502)
+    ones = {**zeros, (): 1}
+    assert zeta_pair_measure(chain, ones, zeros) == o("w + 1501")
+
+
+def test_zeta_measures_report_the_first_missing_or_wide_node_depth_first():
+    tree = LabeledTree([(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
+    with pytest.raises(MissingRankError, match=r"\(0, 1\)"):
+        zeta_measure(tree, RankAssignment({(0, 0): ZERO, (1, 0): ZERO}, o("w")))
+    full = {node: 0 for node in tree.nodes}
+    with pytest.raises(ValueError, match=r"node \(1,\) has 3 children"):
+        zeta_pair_measure(tree, {**full}, {node: 0 for node in tree.nodes if node != (1, 2)})
+    with pytest.raises(KeyError, match=r"\(0,\)"):
+        zeta_pair_measure(tree, {node: 0 for node in tree.nodes if node != (0,)}, full)
+
+
 def test_zeta_pair_strict_decrease_on_growth():
     """Random binary growth where a 0-child drops f0 and keeps f1 (and
     symmetrically); the measure strictly decreases at every step and the

@@ -5,6 +5,10 @@ to test, and the solvers take nothing from the oracles.  Imports are read
 from the source with `ast`, at any depth (a function-level import counts).
 Each property has one oracle search: the threshold queries run the
 maximum search from a floor and define no search of their own.
+Each property has one checker, in `checkers.py`, which works on the
+instance masks and calls no per-pair `color`/`beats`/`pair_index`; the
+coloring -> tournament rule is written once, in `PairColoring.out`, besides
+the verifier's own score test.
 Outside the package, `epsilon0.sweep` builds every report in one place:
 one `Report(...)` call and no per-kind `_sweep_<kind>` function.
 """
@@ -17,6 +21,7 @@ import epsilon0.ramsey
 import epsilon0.ramsey.instances
 
 RAMSEY = Path(epsilon0.ramsey.__file__).resolve().parent
+SRC = RAMSEY.parent
 
 
 def _imported_modules(name):
@@ -106,3 +111,45 @@ def test_sweep_builds_every_report_in_one_place():
     assert len(reports) == 1
     assert [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
             and f.name.startswith("_sweep_")] == []
+
+
+def _functions(path):
+    return {f.name: f for f in ast.walk(ast.parse(path.read_text()))
+            if isinstance(f, ast.FunctionDef)}
+
+
+def _called_names(function):
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_the_checkers_work_on_masks_and_import_no_solver_or_oracle():
+    text = (RAMSEY / "checkers.py").read_text()
+    assert ".color(" not in text and ".beats(" not in text and "pair_index" not in text
+    assert _imports_any("checkers", ["epsilon0.ramsey.solvers",
+                                     "epsilon0.ramsey.oracles"]) == []
+
+
+def test_one_cohesive_search_and_one_off_color_pair_search():
+    checkers = _functions(RAMSEY / "checkers.py")
+    assert "_cohesive_offender" in checkers and "_off_color_pair" in checkers
+    verify_trace = _functions(RAMSEY / "solvers.py")["verify_trace"]
+    verify_cohesive = _functions(SRC / "sweep.py")["verify_cohesive"]
+    assert "_cohesive_offender" in _called_names(verify_trace)
+    assert "_cohesive_offender" in _called_names(verify_cohesive)
+    assert "_off_color_pair" in _called_names(verify_trace)
+    assert "_off_color_pair" in _called_names(checkers["is_homogeneous"])
+
+
+def test_the_coloring_to_tournament_rule_is_written_once():
+    rule = "adj[x] ^ ((1 << x) - 1)"
+    places, total = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        functions = _functions(path).values()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            total += line.count(rule)
+            places += [(path.name, f.name) for f in functions
+                       if rule in line and f.lineno <= number <= f.end_lineno]
+    assert total == 2
+    assert sorted(places) == [("instances.py", "out"), ("solvers.py", "verify_trace")]

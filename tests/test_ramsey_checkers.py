@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from epsilon0.generate import make_tournament
+from epsilon0.generate import SplitMix64, make_coloring, make_tournament
 from epsilon0.ramsey import (
     LinearOrderInstance, PairColoring, Tournament,
     brute_max_homogeneous, brute_max_transitive,
@@ -16,6 +16,10 @@ from epsilon0.ramsey import (
 from epsilon0.ramsey.instances import (
     format_coloring, format_order, format_tournament, pair_count, pair_index,
     parse_coloring, parse_order, parse_tournament,
+)
+from epsilon0.ramsey.solvers import em_solve, rt22_solve
+from reference_checkers import (
+    ref_coloring_is_transitive, ref_is_homogeneous, ref_is_transitive,
 )
 
 
@@ -134,10 +138,48 @@ def test_order_roundtrip_exhaustive():
             assert order_from_transitive_coloring(f).ranking == perm
 
 
-@pytest.mark.parametrize("subset", [[-1, 0, 1], [0, 1, 3], [3]])
+@pytest.mark.parametrize("subset", [[-1, 0, 1], [0, 1, 3], [3], [99], [0, 99]])
 def test_is_transitive_refuses_vertices_outside_the_universe(subset):
     with pytest.raises(ValueError, match="subset leaves the universe"):
         is_transitive(three_cycle(), subset)
+    with pytest.raises(ValueError, match="subset leaves the universe"):
+        coloring_is_transitive(PairColoring(3, 0), subset)
+
+
+# ---------------------------------------------------------------------------
+# the mask checkers against the per-pair references
+# ---------------------------------------------------------------------------
+
+def _same_verdicts(f, r, subset):
+    assert is_homogeneous(f, subset) == ref_is_homogeneous(f, subset), (f, subset)
+    assert is_transitive(r, subset) == ref_is_transitive(r, subset), (r, subset)
+    assert coloring_is_transitive(f, subset) == ref_coloring_is_transitive(f, subset), (f, subset)
+
+
+def test_checkers_match_the_references_on_every_subset_to_n5():
+    for n in range(0, 6):
+        subsets = [[x for x in range(n) if (mask >> x) & 1] for mask in range(1 << n)]
+        for code in range(1 << pair_count(n)):
+            f, r = PairColoring(n, code), Tournament.from_bits(n, code)
+            for subset in subsets:
+                _same_verdicts(f, r, subset)
+            assert coloring_is_transitive(f) == ref_coloring_is_transitive(f)
+
+
+def test_checkers_match_the_references_on_seeded_instances():
+    """Random subsets of every size, unsorted and with repeats, plus the
+    solvers' transitive and homogeneous sets, so both verdicts occur."""
+    rng = SplitMix64(2024)
+    for n in range(6, 25):
+        for i in range(40):
+            f, r = make_coloring(n, seed=100 * n + i), make_tournament(n, seed=100 * n + i)
+            small = [rng.below(n) for _ in range(rng.below(6))]
+            half = [x for x in range(n) if rng.bit()][::-1]
+            trace = rt22_solve(f)
+            for subset in (small, half, range(n), em_solve(r).subset,
+                           trace.transitive_set, trace.final_set):
+                _same_verdicts(f, r, subset)
+            assert coloring_is_transitive(f) == ref_coloring_is_transitive(f)
 
 
 # ---------------------------------------------------------------------------

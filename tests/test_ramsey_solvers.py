@@ -13,6 +13,7 @@ from epsilon0.ramsey import (
 )
 from epsilon0.ramsey.instances import pair_count
 from epsilon0.sweep import ascdesc_bound, verify_cohesive
+from reference_checkers import ref_coloring_is_transitive, ref_is_homogeneous
 
 
 def family_from_coloring(f):
@@ -101,6 +102,18 @@ def test_coh_two_splits_lands_in_largest_cell():
     assert verify_cohesive(family, result)
 
 
+@pytest.mark.parametrize("element", [-1, 6, 99])
+def test_set_family_refuses_elements_outside_the_universe(element):
+    with pytest.raises(ValueError, match=r"set 1 leaves the universe \[0,6\)"):
+        SetFamily(6, (frozenset({0, 5}), frozenset({2, element})))
+
+
+def test_set_family_masks_are_built_with_the_instance():
+    family = SetFamily(6, (frozenset({0, 5}), frozenset(), frozenset({1, 2, 3})))
+    assert family.masks() == (0b100001, 0, 0b1110)
+    assert family.masks() is family.masks()
+
+
 def test_coh_empty_family():
     result = coh_solve(SetFamily(7, ()), 5)
     assert result.chosen == (0, 1, 2, 3, 4)
@@ -130,6 +143,56 @@ def test_coh_random_families():
         result = coh_solve(family, 10)
         assert verify_cohesive(family, result)
         assert list(result.chosen) == sorted(set(result.chosen))
+
+
+def _ref_verify_cohesive(family, result):
+    """verify_cohesive one element and set at a time, for results with one
+    side and threshold per set."""
+    for i, s in enumerate(family.sets):
+        side, thr = result.sides[i], result.thresholds[i]
+        for x in result.chosen:
+            if x >= thr and ((x in s) != bool(side)):
+                return False
+    return True
+
+
+def test_verify_cohesive_matches_the_reference_on_corrupted_results():
+    from dataclasses import replace
+
+    from epsilon0.generate import SplitMix64, make_family
+
+    rng = SplitMix64(77)
+    verdicts = set()
+    for i in range(300):
+        n = 1 + i % 12
+        family = make_family(n, seed=i)
+        result = coh_solve(family, n)
+        m = len(family.sets)
+        for bad in (result,
+                    replace(result, sides=tuple(rng.below(3) for _ in range(m))),
+                    replace(result, thresholds=tuple(rng.below(n + 3) - 1 for _ in range(m))),
+                    replace(result, chosen=tuple(sorted({rng.below(n) for _ in range(n)})))):
+            verdict = verify_cohesive(family, bad)
+            assert verdict == _ref_verify_cohesive(family, bad), (i, bad)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_verify_cohesive_refuses_a_side_or_threshold_count_mismatch():
+    from dataclasses import replace
+
+    family = SetFamily(6, (frozenset({0, 2, 4}), frozenset({1, 2}), frozenset()))
+    result = coh_solve(family, 6)
+    assert verify_cohesive(family, result)
+    for sides, thresholds in ((result.sides[:-1], result.thresholds),
+                              (result.sides, result.thresholds[:-1]),
+                              (result.sides + (1,), result.thresholds),
+                              (result.sides, result.thresholds + (6,)),
+                              (result.sides + (0,), result.thresholds + (6,)),
+                              ((), ())):
+        assert not verify_cohesive(family, replace(result, sides=sides, thresholds=thresholds))
+    with pytest.raises(ValueError, match="subset leaves the universe"):
+        verify_cohesive(family, replace(result, chosen=(0, 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +457,7 @@ def _ref_rt22_solve(f, window=None):
 
 
 def _ref_verify_trace(trace, f):
-    from epsilon0.ramsey import coloring_is_transitive
-
+    """verify_trace one pair at a time, on the per-pair reference checkers."""
     n = f.n
     if trace.n != n:
         return (False, "cohesive", "vertex count mismatch")
@@ -416,7 +478,7 @@ def _ref_verify_trace(trace, f):
     g1 = list(trace.transitive_set)
     if not set(g1) <= set(c) or g1 != sorted(set(g1)):
         return (False, "transitive", "not a subset of the cohesive stage")
-    check = coloring_is_transitive(f, g1)
+    check = ref_coloring_is_transitive(f, g1)
     if not check.ok:
         return (False, "transitive", f"not transitive, witness {check.witness}")
     h = list(trace.monotone_set)
@@ -432,7 +494,7 @@ def _ref_verify_trace(trace, f):
                         f"pair ({h[i]},{h[j]}) breaks {trace.monotone_direction} monotonicity")
     if list(trace.final_set) != h:
         return (False, "final", "final set differs from the monotone stage")
-    final = is_homogeneous(f, trace.final_set)
+    final = ref_is_homogeneous(f, trace.final_set)
     if not final.ok:
         return (False, "final", f"not homogeneous, witness {final.witness}")
     if final.color != trace.final_color:
