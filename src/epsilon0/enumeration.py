@@ -145,29 +145,65 @@ def step(enum: MonotoneEnumeration,
 
     Every added node must properly extend a leaf of the current tree, with
     any intermediate nodes also among the additions (so the result stays
-    prefix-closed).  An empty addition set is an idle stage.
+    prefix-closed).  An empty addition set is an idle stage.  The first
+    offending node in `additions` order is rejected.
     """
     tree = enum.current
     added = {tuple(n): lab for n, lab in additions.items()}
+    found: Dict[Node, Tuple[Node, Optional[Node]]] = {}
     for node in added:
         if node in tree:
             return StepRejection(3, node, "node already enumerated")
-        # Longest prefix already in the tree; it must be a current leaf
-        # and the gap must be filled by this same stage.
-        k = len(node) - 1
-        while k >= 0 and node[:k] not in tree:
-            k -= 1
-        anchor = node[:k]
+        parent = node[:-1]
+        if parent in tree:
+            anchor, gap = parent, None
+        else:
+            anchor, gap = _anchor_and_gap(tree, added, node, found)
         if not tree.is_leaf(anchor):
             return StepRejection(3, node, "does not extend a terminal node")
-        for j in range(k + 1, len(node)):
-            if node[:j] not in added:
-                return StepRejection(3, node, f"missing intermediate node {node[:j]}")
+        if gap is not None:
+            return StepRejection(3, node, f"missing intermediate node {gap}")
     labels = dict(tree.labels)
     labels.update(added)
     new_tree = LabeledTree(tree.nodes | set(added), labels)
     return MonotoneEnumeration(stages=enum.stages + (new_tree,),
                                deltas=enum.deltas + (frozenset(added),))
+
+
+def _anchor_and_gap(tree: LabeledTree, added: Mapping[Node, object], node: Node,
+                    found: Dict[Node, Tuple[Node, Optional[Node]]]
+                    ) -> Tuple[Node, Optional[Node]]:
+    """For an added node outside the tree: its longest prefix in the tree
+    (the anchor) and its shortest prefix between the anchor and itself
+    that is not added (the gap, None when there is none).
+
+    A node whose parent is in the tree has that parent as anchor and no
+    gap.  A node whose parent is added (and not in the tree) shares the
+    parent's anchor and gap: the prefixes between the anchor and the node
+    are the parent's plus the parent itself.  Chains of added parents are
+    walked iteratively and every node decided is kept in `found`, so each
+    is decided once; only a node whose parent is neither in the tree nor
+    added is scanned prefix by prefix.
+    """
+    chain = []
+    while node not in found:
+        parent = node[:-1]
+        if parent in tree:
+            found[node] = (parent, None)
+        elif parent in added:
+            chain.append(node)
+            node = parent
+            continue
+        else:
+            k = len(node) - 1
+            while node[:k] not in tree:           # the root is always in the tree
+                k -= 1
+            gap = next(node[:j] for j in range(k + 1, len(node)) if node[:j] not in added)
+            found[node] = (node[:k], gap)
+        break
+    for child in chain:
+        found[child] = found[node]
+    return found[node]
 
 
 def check_bounded(enum: MonotoneEnumeration, b: int) -> Optional[Node]:
@@ -356,7 +392,7 @@ def format_node(node: Node) -> str:
 def parse_node(text: str) -> Node:
     if text == "-":
         return ROOT
-    return tuple(int(part) for part in text.split("."))
+    return tuple(map(int, text.split(".")))
 
 
 # Each line form is matched whole, keyed by the line's first word; a rank

@@ -8,23 +8,38 @@ generator with seed (base_seed + i) mod 2^64.  Rows (and coloring traces)
 beyond `max_rows` are dropped from the report but still counted, keeping
 memory flat on large sweeps.
 
-The exhaustive tournament sweep runs as numpy passes over chunks of
-_TOURNAMENT_CHUNK codes, one uint8 out-mask per vertex and code (n <= 8
-is all that EXHAUSTIVE_PAIR_LIMIT admits).  Besides the EM result it
-checks the classical transitive-subtournament bound floor(log2 n) + 1 on
-every code, by a rule per bound (a subset of a transitive set is
-transitive, so "maximum >= k" and "some k-subset is transitive" agree):
+Every exhaustive sweep runs as numpy passes over chunks of _CHUNK
+instances, all instances of a chunk stepping through the vertices
+together on uint8 masks (n <= 8 is all that EXHAUSTIVE_PAIR_LIMIT
+admits); no scalar solver, checker or trace encoder runs per instance.
 
-* bound <= 2: n >= bound;
-* bound 3 (n = 4..7): some vertex beats two others;
-* bound 4 (n = 8): some two vertices both beat the same two others.
+* Tournaments: one out-mask per vertex and code, and EM's two passes.
+  Besides the EM result the kernel checks the classical
+  transitive-subtournament bound floor(log2 n) + 1 on every code, by a
+  rule per bound (a subset of a transitive set is transitive, so
+  "maximum >= k" and "some k-subset is transitive" agree): bound <= 2
+  needs n >= bound; bound 3 (n = 4..7) some vertex that beats two others;
+  bound 4 (n = 8) some two vertices that both beat the same two others.
+* Colorings: `_coloring_chunk` is rt22_solve per code (coh, the window,
+  EM over G0, the L-rank and the patience piles).  The `ok` column comes
+  from `_verify_coloring_chunk`, which re-derives verify_trace's first
+  failing stage from the pair bits and the kernel's output and shares no
+  helper with the kernel.  Trace lines are written from the arrays,
+  byte-identical to SolverTrace.to_json, for the rows kept only.
+* Orders: the same patience kernel over the permutations in
+  itertools.permutations order, with the `monotone` column checked
+  against each permutation on its own.
+
+Sampled sweeps run the scalar solvers, checkers and `to_json` per
+instance, and those scalar functions are the reference that the kernels
+are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial, isqrt
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,11 +95,14 @@ def verify_cohesive(family: SetFamily, result: CohResult) -> bool:
                               result.sides, result.thresholds) is None
 
 
-#: Codes per numpy chunk of an exhaustive tournament sweep.
-_TOURNAMENT_CHUNK = 1 << 16
+#: Instance ids per numpy chunk of an exhaustive sweep.
+_CHUNK = 1 << 16
 
 #: Set bits of every uint8 value (np.bitwise_count needs numpy >= 2).
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+#: A direction column value, indexed by "ascending".
+_DIRECTIONS = ("descending", "ascending")
 
 
 def _out_mask_array(n: int, codes: np.ndarray) -> np.ndarray:
@@ -128,27 +146,47 @@ def _has_transitive(out: np.ndarray, k: int) -> np.ndarray:
     raise ValueError(f"no vectorized rule for transitive subsets of size {k}")
 
 
-def _tournament_chunk(n: int, codes: np.ndarray, w: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """em_solve_masks, the transitivity of its result and the bound check,
-    over an array of pair codes at once: returns (chosen masks as uint8,
-    transitive, bound_ok).  Both EM passes take the vertices in the same
-    order as the scalar `_em_core`, all codes in step."""
-    out = _out_mask_array(n, codes)
-    wmask = _window_mask(n, range(n), w)
-    reservoir = np.full(len(codes), (1 << n) - 1, dtype=np.uint8)
-    chosen = np.zeros(len(codes), dtype=np.uint8)
+def _low_index(mask: np.ndarray, empty: int) -> np.ndarray:
+    """The least vertex of each uint8 mask, `empty` for an empty one."""
+    low = mask & (~mask + np.uint8(1))
+    return np.where(mask != 0, _POPCOUNT.take(low - np.uint8(1)), empty)
+
+
+def _em_passes(out: np.ndarray, universe, wmask) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_em_core` per code: the main pass over the vertices of `universe`
+    classified by the window `wmask` (uint8 masks, per code or shared),
+    then the closure pass.  Returns (steps, step sides, chosen) as masks:
+    the main-pass vertices, those of them with class side 1, and the
+    result.  All codes step through the vertices in the same order as the
+    scalar passes."""
+    universe = np.asarray(universe, dtype=np.uint8)
+    reservoir = np.broadcast_to(universe, out.shape[1:])
+    chosen = np.zeros(out.shape[1:], dtype=np.uint8)
+    step_sides = np.zeros_like(chosen)
     for x, row in enumerate(out):
-        rest = np.uint8(wmask & ~(1 << x))
+        rest = wmask & np.uint8(0xFF ^ (1 << x))
         one = (row & rest) == 0                   # every window vertex beats x
         zero = ~one & ((~row & rest) == 0)        # x beats every window vertex
         take = ((reservoir >> x) & 1).astype(bool) & (one | zero)
         keep = np.where(zero, row, ~row) & np.uint8(0xFF & -(2 << x))
         reservoir = np.where(take, reservoir & keep, reservoir)
         chosen |= np.uint8(1 << x) * take
-    for x in range(n):
+        step_sides |= np.uint8(1 << x) * (take & one)
+    steps = chosen
+    for x in range(len(out)):
         candidate = chosen | np.uint8(1 << x)
-        chosen = np.where(_score_ok(out, candidate), candidate, chosen)
+        fits = ((universe >> x) & 1).astype(bool) & _score_ok(out, candidate)
+        chosen = np.where(fits, candidate, chosen)
+    return steps, step_sides, chosen
+
+
+def _tournament_chunk(n: int, codes: np.ndarray, w: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """em_solve_masks, the transitivity of its result and the bound check,
+    over an array of pair codes at once: returns (chosen masks as uint8,
+    transitive, bound_ok)."""
+    out = _out_mask_array(n, codes)
+    _, _, chosen = _em_passes(out, (1 << n) - 1, _window_mask(n, range(n), w))
     return chosen, _score_ok(out, chosen), _has_transitive(out, transitive_bound(n))
 
 
@@ -157,6 +195,257 @@ def exhaustive_triple_ok(n: int) -> np.ndarray:
     (some vertex beats two others)?"""
     codes = np.arange(1 << pair_count(n), dtype=np.uint32)
     return _has_transitive(_out_mask_array(n, codes), 3)
+
+
+def _patience(keys: np.ndarray, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`_patience_lis` on every row of a codes x positions int8 key array at
+    once, over the positions where `active` holds (their keys distinct):
+    returns (length, mask of the positions of the chain) per row.  Pile
+    tops are padded with 127, above every key; a pointer of -1 reads the
+    padding column."""
+    m, n = keys.shape
+    rows = np.arange(m)
+    tops = np.full((m, n + 1), 127, dtype=np.int8)
+    top_at = np.full((m, n + 1), -1, dtype=np.int8)    # position on each pile's top
+    back = np.full((m, n + 1), -1, dtype=np.int8)
+    length = np.zeros(m, dtype=np.intp)
+    for i in range(n):
+        key, act = keys[:, i], active[:, i]
+        pos = np.count_nonzero(tops < key[:, None], axis=1)    # bisect_left
+        back[:, i] = np.where(act, top_at[rows, pos - 1], -1)
+        tops[rows, pos] = np.where(act, key, tops[rows, pos])
+        top_at[rows, pos] = np.where(act, i, top_at[rows, pos])
+        length = np.where(act, np.maximum(length, pos + 1), length)
+    bit = np.array([1 << i for i in range(n)] + [0], dtype=np.uint8)
+    chain = np.zeros(m, dtype=np.uint8)
+    at = top_at[rows, length - 1]
+    for _ in range(n):
+        chain |= bit[at]
+        at = back[rows, at]
+    return length, chain
+
+
+def _longest_monotone(keys: np.ndarray, active: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solvers' `_longest_monotone` per row: (ascending, length, chain
+    mask) of the longer of the longest ascending and descending runs,
+    ties to ascending."""
+    up_len, up = _patience(keys, active)
+    down_len, down = _patience(-keys, active)
+    ascending = up_len >= down_len
+    return ascending, np.where(ascending, up_len, down_len), np.where(ascending, up, down)
+
+
+class _ColoringChunk(NamedTuple):
+    """rt22_solve over a chunk of codes: uint8 vertex masks and per-code
+    values, one entry per code."""
+
+    g0: np.ndarray            # the cohesive set
+    sides: np.ndarray         # bit x: the side kept of the set R_x
+    thresholds: np.ndarray    # n x codes: the threshold of each set R_x
+    window: np.ndarray        # w0
+    steps: np.ndarray         # the vertices of EM's main pass
+    step_sides: np.ndarray    # bit x: class side 1 of a main-pass vertex x
+    g1: np.ndarray            # the transitive set
+    ascending: np.ndarray     # the monotone direction
+    h: np.ndarray             # the monotone and final set
+    color: np.ndarray         # the final color
+
+
+def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _ColoringChunk:
+    """rt22_solve over an array of pair codes at once (n <= 8), all codes
+    stepping through the vertices in the scalar pipeline's order: coh with
+    target n, EM over G0 with the top w0 of G0 as the window, the L-rank
+    as the in-degree within G1, and the longest monotone run of those
+    ranks.  Raises rt22_solve's errors for n = 0 and for a negative window
+    (naming |G0| of the chunk's first code)."""
+    if n < 1:
+        raise ValueError("the coloring needs at least one vertex")
+    out = _out_mask_array(n, codes)
+    below = np.array([(1 << x) - 1 for x in range(n)], dtype=np.uint8)
+    adj = out ^ below[:, None]                    # R_x: the color-1 neighbours of x
+
+    def split(pool, mask):                        # the larger side, ties to side 1
+        inside, outside = pool & mask, pool & ~mask
+        side = _POPCOUNT.take(inside) >= _POPCOUNT.take(outside)
+        return side, np.where(side, inside, outside)
+
+    reservoir = np.full(len(codes), (1 << n) - 1, dtype=np.uint8)
+    committed = np.zeros_like(reservoir)
+    count = np.zeros_like(reservoir)
+    sides = np.zeros_like(reservoir)
+    thresholds = np.empty((n, len(codes)), dtype=np.uint8)
+    for x, mask in enumerate(adj):
+        _, cell = split(reservoir, mask)
+        short = (reservoir != 0) & (count + _POPCOUNT.take(cell) < n)
+        low = reservoir & (~reservoir + np.uint8(1))
+        committed |= low * short
+        count += short
+        side, reservoir = split(np.where(short, reservoir ^ low, reservoir), mask)
+        sides |= np.uint8(1 << x) * side
+        thresholds[x] = _low_index(reservoir, n)
+    g0 = committed | reservoir                    # target n commits the whole reservoir
+
+    size0 = _POPCOUNT.take(g0)
+    if window is None:
+        w0 = np.array([default_window(k) for k in range(n + 1)], dtype=np.uint8).take(size0)
+    elif window < 0:
+        raise ValueError(f"window must lie in [0, {size0[0]}]")
+    else:
+        w0 = np.minimum(size0, min(window, n))
+    wmask = g0
+    for i in range(n):                            # drop the lowest |G0| - w0 vertices
+        wmask = np.where(size0 - w0 > i, wmask & (wmask - np.uint8(1)), wmask)
+    steps, step_sides, g1 = _em_passes(out, g0, wmask)
+
+    members = ((g1[:, None] >> np.arange(n, dtype=np.uint8)) & 1).astype(bool)
+    rank = _POPCOUNT.take(g1 & ~out).astype(np.int8) - 1      # G1 vertices beating x
+    ascending, _, h = _longest_monotone(np.ascontiguousarray(rank.T), members)
+    rest = h & (h - np.uint8(1))
+    first = out[_low_index(h, 0), np.arange(len(codes))]
+    color = np.where(rest != 0, (first >> _low_index(rest, 0)) & 1, 0).astype(np.uint8)
+    return _ColoringChunk(g0, sides, thresholds, w0, steps, step_sides, g1, ascending, h, color)
+
+
+#: The stages of verify_trace, in its order.
+_STAGES = ("cohesive", "transitive", "monotone", "final")
+
+
+def _verify_coloring_chunk(n: int, codes: np.ndarray, chunk: _ColoringChunk) -> np.ndarray:
+    """verify_trace on every code of a chunk: 0 where every stage holds,
+    else 1 + the index in _STAGES of the first failing stage.  It reads
+    the colors from the pair bits itself and checks each property by its
+    definition, sharing no helper with `_coloring_chunk`: cohesion set by
+    set and element, transitivity on increasing triples (equal colors on
+    {x,y} and {y,z} force that color on {x,z}), monotonicity as one color
+    on every pair of H, and the final color against the direction."""
+    color = {}
+    for i, (x, y) in enumerate(itertools.combinations(range(n), 2)):
+        color[x, y] = color[y, x] = ((codes >> i) & 1).astype(bool)
+    never = np.zeros(len(codes), dtype=bool)
+
+    def members(mask):
+        return [((mask >> x) & 1).astype(bool) for x in range(n)]
+
+    g0, g1, h = members(chunk.g0), members(chunk.g1), members(chunk.h)
+    cohesive = never
+    for i, thr in enumerate(chunk.thresholds):
+        side = ((chunk.sides >> i) & 1).astype(bool)
+        for x in range(n):
+            in_set = color[i, x] if x != i else never
+            cohesive = cohesive | (g0[x] & (thr <= x) & (in_set != side))
+    transitive = (chunk.g1 & ~chunk.g0) != 0
+    for x, y, z in itertools.combinations(range(n), 3):
+        xy, yz, xz = color[x, y], color[y, z], color[x, z]
+        transitive |= g1[x] & g1[y] & g1[z] & (xy == yz) & (xz != xy)
+    monotone = (chunk.h & ~chunk.g1) != 0
+    for x, y in itertools.combinations(range(n), 2):
+        monotone |= h[x] & h[y] & (color[x, y] != chunk.ascending)
+    pair = (chunk.h & (chunk.h - np.uint8(1))) != 0
+    final = chunk.color != (chunk.ascending & pair)
+    return np.select([cohesive, transitive, monotone, final], [1, 2, 3, 4], 0).astype(np.int8)
+
+
+#: "[0,1,4]" for every vertex mask.
+_SUBSET_TEXT = tuple("[" + ",".join(str(x) for x in range(8) if (mask >> x) & 1) + "]"
+                     for mask in range(256))
+
+
+def _trace_lines(n: int, chunk: _ColoringChunk, kept: slice) -> List[str]:
+    """SolverTrace.to_json of the codes `kept` of a chunk, written
+    straight from the arrays: one f-string per code over lookup tables of
+    vertex sets and sides, and memoised thresholds and steps."""
+    sides_text = ["[" + ",".join(str((mask >> x) & 1) for x in range(n)) + "]"
+                  for mask in range(1 << n)]
+    thr_keys = sum(chunk.thresholds[x, kept].astype(np.uint32) << np.uint32(4 * x)
+                   for x in range(n))
+    thr_text = {key: "[" + ",".join(str((key >> 4 * x) & 15) for x in range(n)) + "]"
+                for key in set(thr_keys.tolist())}
+    step_keys = chunk.steps[kept].astype(np.uint16) | chunk.step_sides[kept].astype(np.uint16) << 8
+    step_text = {key: "[" + ",".join(f"[{x},{(key >> (8 + x)) & 1}]"
+                                     for x in range(n) if (key >> x) & 1) + "]"
+                 for key in set(step_keys.tolist())}
+    text = _SUBSET_TEXT
+    return [f'{{"cohesive_set":{text[g0]},"cohesive_sides":{sides_text[sides]},'
+            f'"cohesive_thresholds":{thr_text[thr]},"final_color":{color},'
+            f'"final_set":{text[h]},"monotone_direction":"{_DIRECTIONS[up]}",'
+            f'"monotone_set":{text[h]},"n":{n},"transitive_set":{text[g1]},'
+            f'"transitive_steps":{step_text[steps]},"window":{w0}}}'
+            for g0, sides, thr, color, h, up, g1, steps, w0 in zip(
+                *(a[kept].tolist() for a in (chunk.g0, chunk.sides)), thr_keys.tolist(),
+                *(a[kept].tolist() for a in (chunk.color, chunk.h, chunk.ascending, chunk.g1)),
+                step_keys.tolist(), chunk.window[kept].tolist())]
+
+
+#: Rows and trace lines are built this many codes at a time, so that the
+#: lists they are built from stay small next to the report itself.
+_BLOCK = 4096
+
+
+def _coloring_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
+                   want_traces: bool) -> Tuple[np.ndarray, List[Tuple], List[str]]:
+    """The exhaustive coloring sweep over the codes [lo, hi): (ok per code,
+    rows and, when wanted, trace lines of the first `keep` codes)."""
+    codes = np.arange(lo, hi, dtype=np.uint32)
+    chunk = _coloring_chunk(n, codes, window)
+    ok = _verify_coloring_chunk(n, codes, chunk) == 0
+    rows: List[Tuple] = []
+    traces: List[str] = []
+    for start in range(0, min(keep, hi - lo), _BLOCK):
+        kept = slice(start, min(start + _BLOCK, keep))
+        rows += zip(codes[kept].tolist(),
+                    *(_POPCOUNT.take(mask[kept]).tolist() for mask in (chunk.g0, chunk.g1, chunk.h)),
+                    chunk.color[kept].tolist(),
+                    [_DIRECTIONS[up] for up in chunk.ascending[kept].tolist()],
+                    ok[kept].astype(np.uint8).tolist())
+        if want_traces:
+            traces += _trace_lines(n, chunk, kept)
+    return ok, rows, traces
+
+
+def _tournament_rows(n: int, lo: int, hi: int, window: int, keep: int,
+                     want_traces: bool) -> Tuple[np.ndarray, List[Tuple], List[str]]:
+    """The exhaustive tournament sweep over the codes [lo, hi)."""
+    codes = np.arange(lo, hi, dtype=np.uint32)
+    chosen, transitive, b_ok = _tournament_chunk(n, codes, window)
+    ok = transitive & b_ok
+    kept = slice(keep)
+    rows = list(zip(codes[kept].tolist(), _POPCOUNT.take(chosen[kept]).tolist(),
+                    *(c[kept].astype(np.uint8).tolist() for c in (transitive, b_ok, ok))))
+    return ok, rows, []
+
+
+def _monotone_runs(ranks: np.ndarray, chain: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """Per row: the ranks at the positions of `chain`, left to right,
+    strictly rise where `ascending` holds and strictly fall elsewhere."""
+    ok = np.ones(len(ranks), dtype=bool)
+    seen = np.zeros(len(ranks), dtype=bool)
+    previous = np.zeros(len(ranks), dtype=np.int8)
+    for x in range(ranks.shape[1]):
+        on = ((chain >> x) & 1).astype(bool)
+        ok &= ~(on & seen) | ((ranks[:, x] > previous) == ascending)
+        previous = np.where(on, ranks[:, x], previous)
+        seen |= on
+    return ok
+
+
+def _order_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
+                want_traces: bool) -> Tuple[np.ndarray, List[Tuple], List[str]]:
+    """The exhaustive order sweep over the permutations [lo, hi) in
+    `itertools.permutations` order: ads_solve's sequence per ranking, its
+    monotonicity checked against the ranking and the ceil(sqrt(n)) bound."""
+    ranks = np.fromiter(itertools.chain.from_iterable(
+        itertools.islice(itertools.permutations(range(n)), lo, hi)),
+        dtype=np.int8, count=(hi - lo) * n).reshape(hi - lo, n)
+    ascending, size, chain = _longest_monotone(ranks, np.ones(ranks.shape, dtype=bool))
+    monotone = _monotone_runs(ranks, chain, ascending)
+    b_ok = size >= ascdesc_bound(n)
+    ok = monotone & b_ok
+    kept = slice(keep)
+    rows = list(zip(range(lo, hi), size[kept].tolist(),
+                    [_DIRECTIONS[up] for up in ascending[kept].tolist()],
+                    *(c[kept].astype(np.uint8).tolist() for c in (monotone, b_ok, ok))))
+    return ok, rows, []
 
 
 def _check_coloring(coloring: PairColoring, window, target):
@@ -191,17 +480,19 @@ def _check_family(family: SetFamily, window, target):
     return (len(result.chosen), int(cohesive), int(cohesive)), None
 
 
-#: Per kind: the report columns, the seeded generator of sampled sweeps and
-#: the check that turns one instance into (row without `instance`, trace or
-#: None); every row ends with `ok`.
+#: Per kind: the report columns, the seeded generator of sampled sweeps,
+#: the check that turns one instance into (row without `instance`, trace
+#: or None), and the chunk kernel of exhaustive sweeps (instance ids [lo,
+#: hi), window, rows wanted, traces wanted -> ok per instance, rows,
+#: traces); every row ends with `ok`.
 _KINDS = {
     "coloring": (("instance", "g0", "g1", "size", "color", "direction", "ok"),
-                 make_coloring, _check_coloring),
+                 make_coloring, _check_coloring, _coloring_rows),
     "tournament": (("instance", "size", "transitive", "bound_ok", "ok"),
-                   make_tournament, _check_tournament),
+                   make_tournament, _check_tournament, _tournament_rows),
     "order": (("instance", "size", "direction", "monotone", "bound_ok", "ok"),
-              make_order, _check_order),
-    "family": (("instance", "size", "cohesive", "ok"), make_family, _check_family),
+              make_order, _check_order, _order_rows),
+    "family": (("instance", "size", "cohesive", "ok"), make_family, _check_family, None),
 }
 
 
@@ -241,32 +532,22 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
         raise ValueError(
             f"exhaustive sweep needs C(n,2) <= {EXHAUSTIVE_PAIR_LIMIT}, got {pair_count(n)}")
 
-    columns, make, check = _KINDS[kind]
+    columns, make, check, chunk_rows = _KINDS[kind]
     rows: List[Tuple] = []
     traces: List[str] = []
     failures = 0
-    if mode == "exhaustive" and kind == "tournament":
-        total = 1 << pair_count(n)
-        for lo in range(0, total, _TOURNAMENT_CHUNK):
-            codes = np.arange(lo, min(lo + _TOURNAMENT_CHUNK, total), dtype=np.uint32)
-            chosen, transitive, b_ok = _tournament_chunk(n, codes, window)
-            ok = transitive & b_ok
-            failures += len(codes) - int(np.count_nonzero(ok))
-            kept = slice(max_rows - len(rows))
-            rows.extend(zip(codes[kept].tolist(), _POPCOUNT.take(chosen[kept]).tolist(),
-                            *(c[kept].astype(np.uint8).tolist() for c in (transitive, b_ok, ok))))
+    if mode == "exhaustive":
+        total = factorial(n) if kind == "order" else 1 << pair_count(n)
+        for lo in range(0, total, _CHUNK):
+            hi = min(lo + _CHUNK, total)
+            ok, kept, lines = chunk_rows(n, lo, hi, window, max_rows - len(rows), want_traces)
+            failures += hi - lo - int(np.count_nonzero(ok))
+            rows += kept
+            traces += lines
     else:
-        if mode == "sample":
-            total = count
-            instances = (make(n, (seed + i) & _MASK64) for i in range(count))
-        elif kind == "coloring":
-            total = 1 << pair_count(n)
-            instances = (PairColoring(n, code) for code in range(total))
-        else:
-            total = factorial(n)
-            instances = (LinearOrderInstance(n, p) for p in itertools.permutations(range(n)))
-        for ident, instance in enumerate(instances):
-            row, trace = check(instance, window, target)
+        total = count
+        for ident in range(count):
+            row, trace = check(make(n, (seed + ident) & _MASK64), window, target)
             failures += not row[-1]
             if len(rows) < max_rows:
                 rows.append((ident, *row))

@@ -35,7 +35,7 @@ from epsilon0.ramsey.oracles import is_transitive_mask
 from epsilon0.ramsey.solvers import em_solve_masks, default_window
 from epsilon0.report import emit
 from epsilon0.sweep import (
-    _TOURNAMENT_CHUNK, _out_mask_array, _tournament_chunk, exhaustive_triple_ok,
+    _CHUNK, _out_mask_array, _tournament_chunk, exhaustive_triple_ok,
     sweep, transitive_bound,
 )
 
@@ -499,8 +499,8 @@ def test_criterion_6_erdos_moser():
         if not bool(triple_ok.all()):
             ok = False  # every tournament on >= 4 vertices has a transitive triple
         total = 1 << pair_count(n)
-        for lo in range(0, total, _TOURNAMENT_CHUNK):
-            codes = np.arange(lo, min(lo + _TOURNAMENT_CHUNK, total), dtype=np.uint32)
+        for lo in range(0, total, _CHUNK):
+            codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint32)
             kernel_chosen, _, _ = _tournament_chunk(n, codes, w)
             for out, want in zip(_out_mask_array(n, codes).T.tolist(),
                                  kernel_chosen.tolist()):

@@ -10,18 +10,25 @@ instance masks and calls no per-pair `color`/`beats`/`pair_index`; the
 coloring -> tournament rule is written once, in `PairColoring.out`, besides
 the verifier's own score test.
 Outside the package, `epsilon0.sweep` builds every report in one place:
-one `Report(...)` call and no per-kind `_sweep_<kind>` function.
+one `Report(...)` call and no per-kind `_sweep_<kind>` function.  Its
+exhaustive sweeps run on chunk kernels that call no scalar solver,
+checker or trace encoder per code, and the coloring kernel's verifier
+shares no helper with the kernel.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import epsilon0.cli
 import epsilon0.ramsey
 import epsilon0.ramsey.instances
+import epsilon0.ramsey.solvers
 
 RAMSEY = Path(epsilon0.ramsey.__file__).resolve().parent
 SRC = RAMSEY.parent
+# the package exports the function `sweep` under the module's name
+SWEEP = importlib.import_module("epsilon0.sweep")
 
 
 def _imported_modules(name):
@@ -153,3 +160,70 @@ def test_the_coloring_to_tournament_rule_is_written_once():
                        if rule in line and f.lineno <= number <= f.end_lineno]
     assert total == 2
     assert sorted(places) == [("instances.py", "out"), ("solvers.py", "verify_trace")]
+
+
+def _sweep_definitions():
+    """The top-level functions, classes and constants of sweep.py by name."""
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def _reached(definitions, roots):
+    """The definitions of sweep.py that `roots` (names or nodes) reach
+    through the names they mention, the roots' own names included."""
+    seen, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            if node in seen:
+                continue
+            seen.add(node)
+            node = definitions[node]
+        todo += [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                 and n.id in definitions and n.id not in seen]
+    return seen
+
+
+def test_the_coloring_verifier_shares_no_helper_with_the_kernel():
+    definitions = _sweep_definitions()
+    kernel = _reached(definitions, ["_coloring_chunk"])
+    verifier = _reached(definitions, ["_verify_coloring_chunk"])
+    assert {"_out_mask_array", "_patience", "_score_ok", "_em_passes"} <= kernel
+    # the one shared name is the kernel's output type, which the verifier reads
+    assert kernel & verifier == {"_ColoringChunk"}
+    mentioned = {n.id for n in ast.walk(definitions["_verify_coloring_chunk"])
+                 if isinstance(n, ast.Name)}
+    assert not mentioned & {"_out_mask_array", "_patience", "_score_ok", "_window_mask",
+                            "_POPCOUNT", "default_window"}
+
+
+def test_exhaustive_sweeps_make_no_per_code_scalar_call():
+    definitions = _sweep_definitions()
+    sweep_fn = definitions["sweep"]
+    (branch,) = [node for node in ast.walk(sweep_fn) if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "mode == 'exhaustive'"]
+    kernels = [entry[3].__name__ for entry in SWEEP._KINDS.values() if entry[3]]
+    assert sorted(kernels) == ["_coloring_rows", "_order_rows", "_tournament_rows"]
+    reached = _reached(definitions, [*kernels, *branch.body])
+    called = set().union(*(_called_names(definitions[name]) for name in reached
+                           if isinstance(definitions[name], ast.FunctionDef)),
+                         *(_called_names(node) for node in branch.body))
+    scalar = {"rt22_solve", "verify_trace", "ads_solve", "to_json", "em_solve_masks",
+              "_check_coloring", "_check_order", "_check_tournament", "PairColoring",
+              "LinearOrderInstance", "Tournament"}
+    assert not called & scalar
+    assert {"_coloring_chunk", "_verify_coloring_chunk", "_trace_lines", "_patience"} <= reached
+
+
+def test_the_scalar_solvers_stay_exported():
+    exported = set(epsilon0.ramsey.solvers.__all__)
+    assert {"rt22_solve", "verify_trace", "ads_solve", "coh_solve", "em_solve",
+            "em_solve_masks", "SolverTrace", "default_window"} <= exported
+    assert all(callable(getattr(epsilon0.ramsey.solvers, name)) for name in exported)

@@ -5,7 +5,8 @@ The digests are sha256 of `emit(...)`, computed with the per-kind sweep
 functions that the single sweep loop replaced.  Keys of GOLDEN are
 (kind, n, mode, extra keyword arguments, max_rows); sampled runs use
 count=24 and seed=2024 + n.  Keys of TRACED are (n, max_rows) of sampled
-coloring sweeps with traces, count=16 and seed=99.
+coloring sweeps with traces, count=16 and seed=99.  COLORING pins the
+exhaustive coloring sweeps with traces, before their vectorized kernel.
 """
 
 import hashlib
@@ -281,6 +282,311 @@ def test_traced_coloring_sweeps_match_golden_digests(key):
     assert tuple(digest(report, fmt) for fmt in ("summary", "tsv", "trace")) == TRACED[key]
 
 
+# sha256 of emit(summary|tsv|trace) on exhaustive coloring sweeps with
+# traces, pinned from the per-code rt22_solve loop; keys (n, window,
+# max_rows), None for the default.
+COLORING = {
+    (1, None, None): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "c86ab943cad8b80548529ab5a52bfd1678414657c2c7c8edd14b975463b0bad8"),
+    (1, None, 5): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "c86ab943cad8b80548529ab5a52bfd1678414657c2c7c8edd14b975463b0bad8"),
+    (1, None, 0): (
+        "c311e7e126bad5414ab97a5436ce90cad2f11a17c854deb8557e172d16d487e6",
+        "ef1a8b4eadc89b27e39b2506abe645f492414112641ad2abb47822f488f06b4b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0, None): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "8866a2ff7bdf7b5a30f581890227694802cf15a1b0c85c2cb6c7f26701e3aa0d"),
+    (1, 0, 5): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "8866a2ff7bdf7b5a30f581890227694802cf15a1b0c85c2cb6c7f26701e3aa0d"),
+    (1, 0, 0): (
+        "c311e7e126bad5414ab97a5436ce90cad2f11a17c854deb8557e172d16d487e6",
+        "ef1a8b4eadc89b27e39b2506abe645f492414112641ad2abb47822f488f06b4b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 2, None): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "c86ab943cad8b80548529ab5a52bfd1678414657c2c7c8edd14b975463b0bad8"),
+    (1, 2, 5): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "c86ab943cad8b80548529ab5a52bfd1678414657c2c7c8edd14b975463b0bad8"),
+    (1, 2, 0): (
+        "c311e7e126bad5414ab97a5436ce90cad2f11a17c854deb8557e172d16d487e6",
+        "ef1a8b4eadc89b27e39b2506abe645f492414112641ad2abb47822f488f06b4b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 9, None): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "c86ab943cad8b80548529ab5a52bfd1678414657c2c7c8edd14b975463b0bad8"),
+    (1, 9, 5): (
+        "0ca2f0885a85125277513c05419f55cc47a3c56279090751a21ce299d2566b76",
+        "3e5497e01379c26f7dbb1112d5c352bef8a29111df4a9246668c485eba9872d0",
+        "c86ab943cad8b80548529ab5a52bfd1678414657c2c7c8edd14b975463b0bad8"),
+    (1, 9, 0): (
+        "c311e7e126bad5414ab97a5436ce90cad2f11a17c854deb8557e172d16d487e6",
+        "ef1a8b4eadc89b27e39b2506abe645f492414112641ad2abb47822f488f06b4b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, None, None): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "bce2c445eb48dfbe2c1665b14f3f39198eb24067bd918ad394c42a1e152b1938"),
+    (2, None, 5): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "bce2c445eb48dfbe2c1665b14f3f39198eb24067bd918ad394c42a1e152b1938"),
+    (2, None, 0): (
+        "ab3757dfafded3602bc8ed3508e3b108c6fcd530c8b87a3f925849e0cedfafef",
+        "87488dc415c7ffcb735d1e1d812f35f9e0245431bd9c38acc95e564fdf3de688",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 0, None): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "98a72848a9b934ba7cb2726366bb805a141d5f5ac1ce4367860434ef8fb4f61f"),
+    (2, 0, 5): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "98a72848a9b934ba7cb2726366bb805a141d5f5ac1ce4367860434ef8fb4f61f"),
+    (2, 0, 0): (
+        "ab3757dfafded3602bc8ed3508e3b108c6fcd530c8b87a3f925849e0cedfafef",
+        "87488dc415c7ffcb735d1e1d812f35f9e0245431bd9c38acc95e564fdf3de688",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 2, None): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "5723000cf8a975b0482084e9c1f0c78a92ee2d2a5b8f1af5813bf37153731f32"),
+    (2, 2, 5): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "5723000cf8a975b0482084e9c1f0c78a92ee2d2a5b8f1af5813bf37153731f32"),
+    (2, 2, 0): (
+        "ab3757dfafded3602bc8ed3508e3b108c6fcd530c8b87a3f925849e0cedfafef",
+        "87488dc415c7ffcb735d1e1d812f35f9e0245431bd9c38acc95e564fdf3de688",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 9, None): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "5723000cf8a975b0482084e9c1f0c78a92ee2d2a5b8f1af5813bf37153731f32"),
+    (2, 9, 5): (
+        "3af13bba4dff5103b9eaa57fc2806df08dbad91fb4e6a60cab079d04098c9337",
+        "c211ab4dc05849d0fce25723e8a85c08ca537ea96dd200870d5b60b704bfa279",
+        "5723000cf8a975b0482084e9c1f0c78a92ee2d2a5b8f1af5813bf37153731f32"),
+    (2, 9, 0): (
+        "ab3757dfafded3602bc8ed3508e3b108c6fcd530c8b87a3f925849e0cedfafef",
+        "87488dc415c7ffcb735d1e1d812f35f9e0245431bd9c38acc95e564fdf3de688",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, None, None): (
+        "772c3d249b10907e166265f882f5b778c6e145ff0b09cadc0a3f03b31b735cfa",
+        "ddea3393982a2dfb359c449667c926f150ea9c56d781872d0f47fbc25231d0ad",
+        "c1cc025beea8d6635e4b5d448161cbc63981bf1c2c04e7a8f60392ce99253e6c"),
+    (3, None, 5): (
+        "809654ce26a607e094bde1c138ab6c27a452c9558303344ff27fdcb83afb2f2c",
+        "6ab4a1df7b80e55cc8398b2d94f0bd775f465d1fc7ee7043edfa812f77accf8a",
+        "51c7a496d0a76befda1d2a2307a16fa1102ee51006bffeec837e14d4ed0331aa"),
+    (3, None, 0): (
+        "79ae553fd395a55d5bd123c300efbbdded9e6f546269ef2ff940408a8bc8cc13",
+        "78e4511171085cb1ca1e3f6d9f179e54e9f074d4e725020b1a2e0cc4d4cf512f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, 0, None): (
+        "772c3d249b10907e166265f882f5b778c6e145ff0b09cadc0a3f03b31b735cfa",
+        "ddea3393982a2dfb359c449667c926f150ea9c56d781872d0f47fbc25231d0ad",
+        "ba99f351d219f2ab5bd65234401d74db471f5eed4e45f3e6bc3e1acb720b2a08"),
+    (3, 0, 5): (
+        "809654ce26a607e094bde1c138ab6c27a452c9558303344ff27fdcb83afb2f2c",
+        "6ab4a1df7b80e55cc8398b2d94f0bd775f465d1fc7ee7043edfa812f77accf8a",
+        "99a5adbc33a730675a3f91abf321e02c6de65fe43836240cf9728d011de8dd91"),
+    (3, 0, 0): (
+        "79ae553fd395a55d5bd123c300efbbdded9e6f546269ef2ff940408a8bc8cc13",
+        "78e4511171085cb1ca1e3f6d9f179e54e9f074d4e725020b1a2e0cc4d4cf512f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, 2, None): (
+        "772c3d249b10907e166265f882f5b778c6e145ff0b09cadc0a3f03b31b735cfa",
+        "ddea3393982a2dfb359c449667c926f150ea9c56d781872d0f47fbc25231d0ad",
+        "d9ccd1b7a699776c73bf092bb91a2c49f3f9aaf25afa985eb22e38440fbc73f1"),
+    (3, 2, 5): (
+        "809654ce26a607e094bde1c138ab6c27a452c9558303344ff27fdcb83afb2f2c",
+        "6ab4a1df7b80e55cc8398b2d94f0bd775f465d1fc7ee7043edfa812f77accf8a",
+        "f064281dfe31fc7c8321e6b004421d5d4ac47ed8a35e1a64d8dc810e5e423d39"),
+    (3, 2, 0): (
+        "79ae553fd395a55d5bd123c300efbbdded9e6f546269ef2ff940408a8bc8cc13",
+        "78e4511171085cb1ca1e3f6d9f179e54e9f074d4e725020b1a2e0cc4d4cf512f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, 9, None): (
+        "772c3d249b10907e166265f882f5b778c6e145ff0b09cadc0a3f03b31b735cfa",
+        "ddea3393982a2dfb359c449667c926f150ea9c56d781872d0f47fbc25231d0ad",
+        "ba0ceb0e72977bedbabc083e4c88dbb08ced56b2df6f73f156d31b52ffda9a8d"),
+    (3, 9, 5): (
+        "809654ce26a607e094bde1c138ab6c27a452c9558303344ff27fdcb83afb2f2c",
+        "6ab4a1df7b80e55cc8398b2d94f0bd775f465d1fc7ee7043edfa812f77accf8a",
+        "43d405c33645f0bed585fbc4f4fc08f9e8e7137b8774b5c0d8a7a45eb860df29"),
+    (3, 9, 0): (
+        "79ae553fd395a55d5bd123c300efbbdded9e6f546269ef2ff940408a8bc8cc13",
+        "78e4511171085cb1ca1e3f6d9f179e54e9f074d4e725020b1a2e0cc4d4cf512f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, None, None): (
+        "526fbe63c4678c749cbfc835a567fb025f1a553dfaa96aed12298f20b2e3b54f",
+        "b48055c2c390a46d69c37b0c3114a47d23c5967741d67566f11315a5da6324a7",
+        "ddca989f99d40438a2a53517d3a2352367b2cddc10d58bf88f89516888d15e42"),
+    (4, None, 5): (
+        "93362ff1edeaba9a06ce622ff14a616baf100ccf4996bdd3a7651a8029c1e12d",
+        "a50e0831b61711db060a2eeb999360eb4796a8eef653ec805b6f09a555c0b859",
+        "80f5e84db942988cfd66cae5ae49fe26e6a587560df16ba7975360a3c005d0e1"),
+    (4, None, 0): (
+        "f2ee922c069b5d136dee92bc02f724e89ea1a111accdbf865befdbbe71009277",
+        "ba89e422a014e1f04931ac3a6e5c3ea7684b526c863ab0dfad56737d97871048",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, 0, None): (
+        "526fbe63c4678c749cbfc835a567fb025f1a553dfaa96aed12298f20b2e3b54f",
+        "b48055c2c390a46d69c37b0c3114a47d23c5967741d67566f11315a5da6324a7",
+        "b6354fe01422ab7118966823618e34a5bfbf394ca96fd694b998a03033eb9bb1"),
+    (4, 0, 5): (
+        "93362ff1edeaba9a06ce622ff14a616baf100ccf4996bdd3a7651a8029c1e12d",
+        "a50e0831b61711db060a2eeb999360eb4796a8eef653ec805b6f09a555c0b859",
+        "13e4027e8575f7b87b5458e58782672dc0c17fc48630a29c2c5a32da063b1c33"),
+    (4, 0, 0): (
+        "f2ee922c069b5d136dee92bc02f724e89ea1a111accdbf865befdbbe71009277",
+        "ba89e422a014e1f04931ac3a6e5c3ea7684b526c863ab0dfad56737d97871048",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, 2, None): (
+        "526fbe63c4678c749cbfc835a567fb025f1a553dfaa96aed12298f20b2e3b54f",
+        "b48055c2c390a46d69c37b0c3114a47d23c5967741d67566f11315a5da6324a7",
+        "38df262121b7128987d0ddc122683a03cf047e35f3bd1293b536533da4d8b49e"),
+    (4, 2, 5): (
+        "93362ff1edeaba9a06ce622ff14a616baf100ccf4996bdd3a7651a8029c1e12d",
+        "a50e0831b61711db060a2eeb999360eb4796a8eef653ec805b6f09a555c0b859",
+        "ba5eed2ab73084d4cd7df3b03e66940c53dfae677965640f4aebde0991d6d42a"),
+    (4, 2, 0): (
+        "f2ee922c069b5d136dee92bc02f724e89ea1a111accdbf865befdbbe71009277",
+        "ba89e422a014e1f04931ac3a6e5c3ea7684b526c863ab0dfad56737d97871048",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, 9, None): (
+        "526fbe63c4678c749cbfc835a567fb025f1a553dfaa96aed12298f20b2e3b54f",
+        "b48055c2c390a46d69c37b0c3114a47d23c5967741d67566f11315a5da6324a7",
+        "48a722c7d20197648186172d0a0df629810fc083d62733c6a84100e0754ee54c"),
+    (4, 9, 5): (
+        "93362ff1edeaba9a06ce622ff14a616baf100ccf4996bdd3a7651a8029c1e12d",
+        "a50e0831b61711db060a2eeb999360eb4796a8eef653ec805b6f09a555c0b859",
+        "484bf731208c762a86651ee874ea8f7c5305a4ab1d3853cfe40e1908a8d5e5ce"),
+    (4, 9, 0): (
+        "f2ee922c069b5d136dee92bc02f724e89ea1a111accdbf865befdbbe71009277",
+        "ba89e422a014e1f04931ac3a6e5c3ea7684b526c863ab0dfad56737d97871048",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (5, None, None): (
+        "70c56adac250f63dda4a000dcf30aaa3fad9aa273e578eb5657798907bfff613",
+        "65ac60648cfc32fc5be49d6d7e53ffabe26c65febe8ef64f8b85336c2f14463b",
+        "490540c03ca320b7a3142223d09a8ee7e9b9f0d41451336d15cafbe62e1b64b9"),
+    (5, None, 5): (
+        "c21b45fe911786612c0e5ea546dade706cdd427753209630d8c2357c31591a90",
+        "e3f39749e1f6f1b0cf8d0c0ec0f1d428fdb229feb71918321270855f914cf1e5",
+        "d6bc1fd18c494cf65f5128a2180689ab8855466b28c3226262f2f32fa0471b61"),
+    (5, None, 0): (
+        "eb283e29cb86afdcded0fff294256b9325a4055fa6aa5dc2ad8ff6c48e541ed7",
+        "2921c065128834ad092648cf3026086e972dbe39c3b3064f2e7fbca05156b8b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (5, 0, None): (
+        "95813e745b585841a529e1107190dfaded206774bc3cfd07a6df959f68c3ce01",
+        "d86b111977f2208c8232a82fc168e2f6b46543646aaeec988697cfaeca0e1354",
+        "64f20774ab90fb47a1bd049ec3aeabac56d6b752236b66ce36b5b6b4576bdde0"),
+    (5, 0, 5): (
+        "c21b45fe911786612c0e5ea546dade706cdd427753209630d8c2357c31591a90",
+        "e3f39749e1f6f1b0cf8d0c0ec0f1d428fdb229feb71918321270855f914cf1e5",
+        "7da81260bd4db2a6e2f94b05b14fb9f46628c56079a09f3f41515abd845c5455"),
+    (5, 0, 0): (
+        "eb283e29cb86afdcded0fff294256b9325a4055fa6aa5dc2ad8ff6c48e541ed7",
+        "2921c065128834ad092648cf3026086e972dbe39c3b3064f2e7fbca05156b8b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (5, 2, None): (
+        "70c56adac250f63dda4a000dcf30aaa3fad9aa273e578eb5657798907bfff613",
+        "65ac60648cfc32fc5be49d6d7e53ffabe26c65febe8ef64f8b85336c2f14463b",
+        "fc5333d8d9ef080f95d027e9948e589b2f53044ac94369757ef92310a61baa9c"),
+    (5, 2, 5): (
+        "c21b45fe911786612c0e5ea546dade706cdd427753209630d8c2357c31591a90",
+        "e3f39749e1f6f1b0cf8d0c0ec0f1d428fdb229feb71918321270855f914cf1e5",
+        "85f8595b194426d3a9dbadfa74505fcb16da33b05e79235abb5dc82168f374b4"),
+    (5, 2, 0): (
+        "eb283e29cb86afdcded0fff294256b9325a4055fa6aa5dc2ad8ff6c48e541ed7",
+        "2921c065128834ad092648cf3026086e972dbe39c3b3064f2e7fbca05156b8b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (5, 9, None): (
+        "70c56adac250f63dda4a000dcf30aaa3fad9aa273e578eb5657798907bfff613",
+        "65ac60648cfc32fc5be49d6d7e53ffabe26c65febe8ef64f8b85336c2f14463b",
+        "367eb20680af3bf630ba50cabf21811264ebf96cd1a113da94b37200062de33f"),
+    (5, 9, 5): (
+        "c21b45fe911786612c0e5ea546dade706cdd427753209630d8c2357c31591a90",
+        "e3f39749e1f6f1b0cf8d0c0ec0f1d428fdb229feb71918321270855f914cf1e5",
+        "3e7cdcab13e1b57e12f9e00f1e876683cc658265dde946fa3dc89b14fd99057a"),
+    (5, 9, 0): (
+        "eb283e29cb86afdcded0fff294256b9325a4055fa6aa5dc2ad8ff6c48e541ed7",
+        "2921c065128834ad092648cf3026086e972dbe39c3b3064f2e7fbca05156b8b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (6, None, None): (
+        "eb652b7d87ede9920fa133a6252b5b29cdb1bf79a0d3c21d566b4cb52e698a55",
+        "8bb59f59924f4f398355ffbd8f68d805dd8ca54a77dd60415d2655983279f67c",
+        "f81197b93c1e3ec07b9bdfc05cf5c0ee43ed4671c21b001c25493953443ebe8e"),
+    (6, None, 5): (
+        "f9dd3a3778606ff187d69d1427673bbd307a61bba6e474468195f9648c9e5b96",
+        "09a553f51c45b40624f54d1266a4b08e8a612618997519cfc2bb9ff6b310eaed",
+        "6546f1b18966c952b4855774e0384901eaa5b558b229bd3140efde21409342d0"),
+    (6, None, 0): (
+        "5153144133d906c281b212ca58906aa6e15c8fcbf3c3620eb6080297901194c3",
+        "b2e02d7215282275d254289e977d7c6d385182860babf972545a508ac5b9c69d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (6, 0, None): (
+        "d2c42df7b62d4972b36e4edad1c8666c6a2751803847b3cf48da22311d17ac01",
+        "7db16fbcc17dfa1e5587ae1d14459b68bcc03f7d5137890064ecb670cc421dc1",
+        "558dce3e957b30e15693214a96b9a76297998caebf4962bdbddddeb90a3486c0"),
+    (6, 0, 5): (
+        "f9dd3a3778606ff187d69d1427673bbd307a61bba6e474468195f9648c9e5b96",
+        "09a553f51c45b40624f54d1266a4b08e8a612618997519cfc2bb9ff6b310eaed",
+        "58ed0decabaf66efac876f9852dbb6f881df826819cd26bce3f5155163236000"),
+    (6, 0, 0): (
+        "5153144133d906c281b212ca58906aa6e15c8fcbf3c3620eb6080297901194c3",
+        "b2e02d7215282275d254289e977d7c6d385182860babf972545a508ac5b9c69d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (6, 2, None): (
+        "eb652b7d87ede9920fa133a6252b5b29cdb1bf79a0d3c21d566b4cb52e698a55",
+        "8bb59f59924f4f398355ffbd8f68d805dd8ca54a77dd60415d2655983279f67c",
+        "3400e430d1cc91eef2eb1ae4f4376e7fec73bbe7536c7c960009b815e1874bb9"),
+    (6, 2, 5): (
+        "f9dd3a3778606ff187d69d1427673bbd307a61bba6e474468195f9648c9e5b96",
+        "09a553f51c45b40624f54d1266a4b08e8a612618997519cfc2bb9ff6b310eaed",
+        "6546f1b18966c952b4855774e0384901eaa5b558b229bd3140efde21409342d0"),
+    (6, 2, 0): (
+        "5153144133d906c281b212ca58906aa6e15c8fcbf3c3620eb6080297901194c3",
+        "b2e02d7215282275d254289e977d7c6d385182860babf972545a508ac5b9c69d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (6, 9, None): (
+        "6217d811da8256660314ebf355133d5ac4f3e2e21637541455e1c82880aba132",
+        "697baa4534315bca9bf2884da24b1355533c933de785aad6c46f889fdc9e85d5",
+        "743ea8228cd43686da6626c1550ad59ef5bcde1ff929c722d336b3d7105e60d8"),
+    (6, 9, 5): (
+        "f9dd3a3778606ff187d69d1427673bbd307a61bba6e474468195f9648c9e5b96",
+        "09a553f51c45b40624f54d1266a4b08e8a612618997519cfc2bb9ff6b310eaed",
+        "57093ff2627954b715ce28f7767c40f84d33f810cba273203ab9509dd81f5249"),
+    (6, 9, 0): (
+        "5153144133d906c281b212ca58906aa6e15c8fcbf3c3620eb6080297901194c3",
+        "b2e02d7215282275d254289e977d7c6d385182860babf972545a508ac5b9c69d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("key", list(COLORING), ids=repr)
+def test_exhaustive_coloring_sweeps_match_golden_digests(key):
+    n, window, rows = key
+    kwargs = {} if rows is None else {"max_rows": rows}
+    if window is not None:
+        kwargs["window"] = window
+    report = sweep("coloring", n, "exhaustive", want_traces=True, **kwargs)
+    assert tuple(digest(report, fmt) for fmt in ("summary", "tsv", "trace")) == COLORING[key]
+
+
 @pytest.mark.parametrize("args, kwargs, message", [
     (("family", 3, "exhaustive"), {}, "family sweeps are sample-only"),
     (("family", 40, "exhaustive"), {}, "family sweeps are sample-only"),
@@ -290,6 +596,9 @@ def test_traced_coloring_sweeps_match_golden_digests(key):
     (("coloring", 9, "exhaustive"), {"window": -1},
      "exhaustive sweep needs C(n,2) <= 28, got 36"),
     (("coloring", 4, "exhaustive"), {"window": -1}, "window must lie in [0, 4]"),
+    (("coloring", 6, "exhaustive"), {"window": -1}, "window must lie in [0, 6]"),
+    (("coloring", 6, "exhaustive"), {"window": -1, "want_traces": True, "max_rows": 0},
+     "window must lie in [0, 6]"),
     (("coloring", 0, "exhaustive"), {}, "the coloring needs at least one vertex"),
     (("order", 9, "exhaustive"), {}, "exhaustive sweep needs C(n,2) <= 28, got 36"),
     (("family", 3, "sample"), {"count": 2, "seed": 1, "target": -1},

@@ -117,7 +117,7 @@ def test_transitive_subset_rules_match_the_oracle():
 def test_chunk_boundaries_do_not_change_the_report(monkeypatch):
     whole = {rows: sweep("tournament", 6, "exhaustive", max_rows=rows)
              for rows in (0, 5, 1500, 100_000)}
-    monkeypatch.setattr(SWEEP_MODULE, "_TOURNAMENT_CHUNK", 1000)
+    monkeypatch.setattr(SWEEP_MODULE, "_CHUNK", 1000)
     for rows, report in whole.items():
         chunked = sweep("tournament", 6, "exhaustive", max_rows=rows)
         for fmt in ("summary", "tsv"):
@@ -133,7 +133,7 @@ def test_failures_count_every_failed_check_across_chunks(monkeypatch):
         chosen, transitive, bound_ok = kernel(n, codes, w)
         return chosen, transitive & (codes % 3 != 0), bound_ok & (codes % 5 != 0)
 
-    monkeypatch.setattr(SWEEP_MODULE, "_TOURNAMENT_CHUNK", 100)
+    monkeypatch.setattr(SWEEP_MODULE, "_CHUNK", 100)
     monkeypatch.setattr(SWEEP_MODULE, "_tournament_chunk", failing)
     report = sweep("tournament", 5, "exhaustive", max_rows=7)
     assert report.failures == sum(1 for c in range(1024) if c % 3 == 0 or c % 5 == 0)
