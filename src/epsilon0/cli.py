@@ -67,13 +67,14 @@ _TAKES_B = ("compare", "add", "nat-add", "nat-mul-k", "tower")
 
 
 def _cmd_ord(args) -> int:
-    op, b = args.op, args.b
+    # argparse before Python 3.12 stores [] for an A given as "--" after "--"
+    op, text, b = args.op, args.a or "", args.b
     if op not in _TAKES_B and b is not None:
         raise ValueError(f"ord {op} takes no B")
     if op == "decode":
-        print(format_ordinal(decode(parse_index(args.a))))
+        print(format_ordinal(decode(parse_index(text))))
         return OK
-    a = parse_ordinal(args.a)
+    a = parse_ordinal(text)
     if op in _TAKES_B and b is None:
         raise ValueError(f"ord {op} needs B")
     if op == "eval":

@@ -35,6 +35,7 @@ term passes MAX_CODE_BITS bits.
 
 from __future__ import annotations
 
+import re
 from math import isqrt, log10
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -414,88 +415,95 @@ def decode(i: OrdinalIndex) -> Ordinal:
 # nat  := [1-9][0-9]*
 #
 # Whitespace around tokens is ignored.  Non-canonical sums are accepted and
-# canonicalized by accumulating with std_add; format always emits canonical
-# form, largest exponent first, omitting "*1" and abbreviating w^(1) as "w".
-# A value is at least as deep as its "w^(" nesting, so the parser raises
-# OrdinalDepthError as soon as that nesting passes MAX_DEPTH.
+# canonicalized as std_add would; format always emits canonical form, largest
+# exponent first, omitting "*1" and abbreviating w^(1) as "w".
+#
+# The parser reads the tokens in one pass with a stack of the open "w^("
+# groups.  A group's partial sum is a monotone stack: a new term pops the
+# smaller exponents (std_add absorbs them), then merges with an equal one or
+# is pushed, so parsing takes time linear in the text.  A value is at least
+# as deep as its "w^(" nesting, so OrdinalDepthError is raised before a level
+# past MAX_DEPTH is entered.  A term raises its syntax error first, then its
+# coefficient's overflow, then its value's depth.
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
+#: A token after the whitespace before it: "w^(", "0" (always alone, so "05"
+#: is 0 then 5), a number or another character.  `\s` is `str.isspace()`.
+_TOKEN = re.compile(r"\s*(w\^\(|0|[1-9][0-9]*|\S)")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise OrdinalSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        lit = self.text[start:self.pos]
-        if not lit:
-            raise OrdinalSyntaxError("expected a number", start)
-        if lit[0] == "0":
-            raise OrdinalSyntaxError("numbers start with a nonzero digit", start)
-        return int(lit)
+#: A literal with more digits than COEFF_LIMIT is past it by its length
+#: alone, and is read as _LONG instead of going through int().
+_COEFF_DIGITS, _LONG = len(str(COEFF_LIMIT)), COEFF_LIMIT + 1
+_NONZERO = "numbers start with a nonzero digit"
 
 
-def _parse_ord(s: _Scanner) -> Ordinal:
-    if s.peek() == "0":
-        s.pos += 1
-        return ZERO
-    total = _parse_term(s)
-    while s.peek() == "+":
-        s.pos += 1
-        total = std_add(total, _parse_term(s))
-    return total
-
-
-def _parse_term(s: _Scanner) -> Ordinal:
-    ch = s.peek()
-    if ch == "w":
-        s.pos += 1
-        if s.peek() == "^":
-            s.pos += 1
-            s.expect("(")
-            s.depth += 1
-            _check_depth(s.depth)
-            exp = _parse_ord(s)
-            s.depth -= 1
-            s.expect(")")
-        else:
-            exp = ONE
-        coeff = 1
-    elif "0" <= ch <= "9":
-        exp = ZERO
-        coeff = s.nat()
-    else:
-        raise OrdinalSyntaxError("expected 'w' or a number", s.pos)
-    if s.peek() == "*":
-        s.pos += 1
-        coeff *= s.nat()
-    return Ordinal(((exp, _check_coeff(coeff)),))
+def _syntax_error(text: str, k: int, message: str) -> OrdinalSyntaxError:
+    """The error at the k-th token of `text`, or at its end past the last."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+    return OrdinalSyntaxError(message, starts[k])
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the ASCII grammar above; canonicalizes non-canonical input."""
-    s = _Scanner(text)
-    value = _parse_ord(s)
-    s.skip_ws()
-    if s.pos != len(text):
-        raise OrdinalSyntaxError("trailing input", s.pos)
-    return value
+    toks = _TOKEN.findall(text) + [""]  # "" is the end of the text
+    deep = len(toks) > MAX_DEPTH        # a too-deep value takes more tokens
+    groups, terms, i = [], [], 0        # partial sums of the open groups, the innermost ord
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "w^(" or tok == "w" and toks[i] == "^":
+            if tok == "w":
+                if toks[i + 1] != "(":
+                    raise _syntax_error(text, i + 1, "expected '('")
+                i += 2
+            if len(groups) == MAX_DEPTH:
+                _check_depth(MAX_DEPTH + 1)
+            groups.append(terms)
+            terms = []
+            continue
+        if "0" < tok[:1] <= "9":
+            exp, lit, depth = ZERO, tok, 0
+            coeff = int(tok) if len(tok) <= _COEFF_DIGITS else _LONG
+        elif tok == "w":
+            exp, lit, coeff, depth = ONE, "", 1, 0
+        elif tok == "0" and not terms:  # the ord is 0
+            exp = None
+        else:
+            raise _syntax_error(text, i - 1,
+                                _NONZERO if tok == "0" else "expected 'w' or a number")
+        while True:
+            if exp is not None:         # a term ends before token i
+                f = ""
+                if toks[i] == "*":
+                    f = toks[i + 1]
+                    if not "0" < f[:1] <= "9":
+                        raise _syntax_error(text, i + 1,
+                                            _NONZERO if f == "0" else "expected a number")
+                    i += 2
+                    coeff *= int(f) if len(f) <= _COEFF_DIGITS else _LONG
+                if coeff > COEFF_LIMIT:     # named by its first over-long literal, if any
+                    big = next((n for n in (lit, f) if len(n) > _COEFF_DIGITS), coeff)
+                    raise OrdinalOverflowError(f"coefficient {big} exceeds 64-bit limit")
+                if depth > MAX_DEPTH:
+                    _check_depth(depth)
+                if terms and not terms[-1][0] > exp:   # else the term just follows
+                    while terms and terms[-1][0] < exp:
+                        terms.pop()
+                    if terms and terms[-1][0] == exp:
+                        coeff = _check_coeff(coeff + terms.pop()[1])
+                terms.append((exp, coeff))
+                if toks[i] == "+":
+                    i += 1
+                    break
+            value = _raw(Ordinal, terms)    # an ord ends before token i
+            if not groups:
+                if toks[i]:
+                    raise _syntax_error(text, i, "trailing input")
+                return value
+            if toks[i] != ")":
+                raise _syntax_error(text, i, "expected ')'")
+            i += 1
+            terms = groups.pop()
+            exp, lit, coeff, depth = value, "", 1, 1 + _depth(value) if deep else 0
 
 
 def format_ordinal(a: Ordinal) -> str:

@@ -61,6 +61,19 @@ def test_former_tracebacks_print_an_error(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
+    # argparse before Python 3.12 gives a lone "--" after "--" as []
+    (["ord", "eval", "--", "--"], "error: expected 'w' or a number (at position 0)\n"),
+    (["ord", "decode", "--", "--"],
+     "error: index must be a non-negative decimal integer, got ''\n"),
+    (["ord", "eval", "7" * 5000], f"error: coefficient {'7' * 5000} exceeds 64-bit limit\n"),
+    (["ord", "eval", "w*" + "7" * 5000 + " + 1"],
+     f"error: coefficient {'7' * 5000} exceeds 64-bit limit\n"),
+])
+def test_ord_operands_past_the_int_limit_or_given_as_dashes(argv, message):
+    assert run_cli(*argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
     (["ramsey", "solve"], "error: ramsey solve needs an instance file\n"),
     (["ramsey", "sweep", "--kind", "order"], "error: ramsey sweep needs --n\n"),
     (["ord", "compare", "junk"], "error: expected 'w' or a number (at position 0)\n"),

@@ -14,6 +14,9 @@ one `Report(...)` call and no per-kind `_sweep_<kind>` function.  Its
 exhaustive sweeps run on chunk kernels that call no scalar solver,
 checker or trace encoder per code, and the coloring kernel's verifier
 shares no helper with the kernel.
+Ordinal text has one parser, `epsilon0.ordinal.parse_ordinal`, which
+tokenizes with one regex: no character scanner is left, and the log
+parsers of `descent` and `enumeration` call it instead of a copy.
 """
 
 import ast
@@ -21,6 +24,9 @@ import importlib
 from pathlib import Path
 
 import epsilon0.cli
+import epsilon0.descent
+import epsilon0.enumeration
+import epsilon0.ordinal
 import epsilon0.ramsey
 import epsilon0.ramsey.instances
 import epsilon0.ramsey.solvers
@@ -227,3 +233,28 @@ def test_the_scalar_solvers_stay_exported():
     assert {"rt22_solve", "verify_trace", "ads_solve", "coh_solve", "em_solve",
             "em_solve_masks", "SolverTrace", "default_window"} <= exported
     assert all(callable(getattr(epsilon0.ramsey.solvers, name)) for name in exported)
+
+
+def _mentions(node, name):
+    return any(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+
+def test_ordinal_text_has_one_tokenizing_parser():
+    tree = ast.parse((SRC / "ordinal.py").read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert "_Scanner" not in classes
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    assert not any(_mentions(loop, "isspace") for loop in loops)
+    # the grammar is read in one place: no other function of src/ tests for its tokens
+    readers = sorted({(path.name, f.name) for path in SRC.rglob("*.py")
+                      for f in _functions(path).values() for node in ast.walk(f)
+                      if isinstance(node, ast.Compare)
+                      and any(isinstance(n, ast.Constant) and n.value in ("w", "w^(", "^")
+                              for n in [node.left, *node.comparators])})
+    assert readers == [("ordinal.py", "parse_ordinal")]
+    for module in (epsilon0.descent, epsilon0.enumeration):
+        assert module.parse_ordinal is epsilon0.ordinal.parse_ordinal
+        functions = _functions(Path(module.__file__))
+        assert not [name for name in functions if "parse_ord" in name or "_term" in name]
+        assert any("parse_ordinal" in _called_names(f) for f in functions.values())

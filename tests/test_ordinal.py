@@ -257,6 +257,60 @@ def test_format_parse_roundtrip(a):
     assert parse_ordinal(format_ordinal(a)) == a
 
 
+# Parsing is linear in the length of the text: each term is pushed onto
+# and popped off its group's partial sum at most once.  The 20,000-term sum
+# took about a minute when every `+` copied the partial sum.
+
+def _wide_sum(terms):
+    """w^(n)*(n % 7 + 2) for n = terms, ..., 1: canonical, about 11 bytes a term."""
+    return Ordinal([(from_int(n), n % 7 + 2) for n in range(terms, 0, -1)])
+
+
+def _cpu_seconds(fn, *args):
+    import time
+
+    start = time.process_time()
+    value = fn(*args)
+    return value, time.process_time() - start
+
+
+def test_a_wide_canonical_sum_parses_in_linear_time():
+    wide = _wide_sum(20_000)
+    text = format_ordinal(wide)
+    assert len(text) > 200_000
+    value, seconds = _cpu_seconds(parse_ordinal, text)
+    assert value == wide
+    assert seconds < 1.0
+
+
+def test_merging_and_absorbing_sums_parse_in_linear_time():
+    wide = _wide_sum(5_000)
+    text = format_ordinal(wide)
+    value, seconds = _cpu_seconds(parse_ordinal, text + " + 1" * 5_000)
+    assert value == std_add(wide, from_int(5_000))
+    assert seconds < 1.0
+    value, seconds = _cpu_seconds(parse_ordinal, text + " + w^(5001)")
+    assert value == omega_pow(from_int(5_001))
+    assert seconds < 1.0
+    ascending = " + ".join(f"w^({n})*2" for n in range(1, 5_001))
+    value, seconds = _cpu_seconds(parse_ordinal, ascending)
+    assert value == nat_mul_k(omega_pow(from_int(5_000)), 2)
+    assert seconds < 1.0
+
+
+def test_ord_eval_prints_a_wide_sum_back_unchanged():
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    from epsilon0.cli import main
+
+    text = format_ordinal(_wide_sum(20_000))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["ord", "eval", text])
+    assert (code, out.getvalue(), err.getvalue()) == (0, text + "\n", "")
+
+
 # ---------------------------------------------------------------------------
 # representation limits and the TOP sentinel
 # ---------------------------------------------------------------------------
