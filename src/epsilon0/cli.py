@@ -54,7 +54,8 @@ OK, FAIL = 0, 1
 
 
 def _read(args) -> str:
-    if args.file is None:
+    # argparse before Python 3.12 stores [] for a file given as "--" after "--"
+    if args.file is None or args.file == []:
         raise ValueError(f"{args.command} {args.op} needs an instance file")
     return Path(args.file).read_text()
 

@@ -45,6 +45,14 @@ def run_cli(*argv):
      "No such file or directory"),
     (["enum", "check"], "enum check needs an instance file"),
     (["enum", "measure"], "enum measure needs an instance file"),
+    # argparse before Python 3.12 gives a lone "--" after "--" as [] for the
+    # required descent file, and as None for the optional enum and ramsey one
+    (["descent", "combine", "--", "--"], "descent combine needs an instance file"),
+    (["descent", "validate", "--", "--"], "descent validate needs an instance file"),
+    (["enum", "check", "--", "--"], "enum check needs an instance file"),
+    (["enum", "measure", "--", "--"], "enum measure needs an instance file"),
+    (["ramsey", "solve", "--", "--"], "ramsey solve needs an instance file"),
+    (["ramsey", "coh", "--", "--"], "ramsey coh needs an instance file"),
     (["ord", "compare", "w"], "ord compare needs B"),
     (["ord", "add", "1"], "ord add needs B"),
     (["ord", "nat-mul-k", "w"], "ord nat-mul-k needs B"),
