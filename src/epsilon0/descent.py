@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .ordinal import (
     LT,
     Ordinal,
+    OrdinalOverflowError,
+    _nat_sum,
     compare,
     format_ordinal,
     nat_add,
@@ -139,17 +142,22 @@ def gamma_combine(log: StreamEventLog) -> DescentTrace:
     latest value each has emitted (bound if silent so far).
     """
     log.check()
-    # Only the streams that have spoken are stored; the silent ones add
-    # up to one natural multiple of the bound, so memory and time follow
-    # the events, not k.
+    # One exponent -> coefficient count, k times the bound at first; an event
+    # swaps the stream's previous value (the bound if silent) for its new one.
+    counts = {e: c * log.k for e, c in log.bound}
     latest: Dict[int, Ordinal] = {}
     values: List[Ordinal] = []
     for ev in log.events:
+        for e, c in latest.get(ev.stream, log.bound):
+            counts[e] -= c
+        for e, c in ev.value:
+            counts[e] = counts.get(e, 0) + c
         latest[ev.stream] = ev.value
-        total = nat_mul_k(log.bound, log.k - len(latest))
-        for v in latest.values():
-            total = nat_add(total, v)
-        values.append(total)
+        try:
+            values.append(_nat_sum(counts))
+        except OrdinalOverflowError:  # redone one by one: names the first partial past the limit
+            reduce(nat_add, latest.values(), nat_mul_k(log.bound, log.k - len(latest)))
+            raise
     return DescentTrace(bound=nat_mul_k(log.bound, log.k), values=tuple(values))
 
 

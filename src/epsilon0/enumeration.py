@@ -29,18 +29,18 @@ carry the root rank line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .ordinal import (
     LT,
     OMEGA,
     Ordinal,
+    _nat_sum,
     compare,
     format_ordinal,
     from_int,
-    nat_add,
-    nat_mul_k,
     omega_pow,
     parse_ordinal,
 )
@@ -105,9 +105,6 @@ class LabeledTree:
 
     def at_depth(self, depth: int) -> List[Node]:
         return sorted(n for n in self.nodes if len(n) == depth)
-
-    def max_branching(self) -> int:
-        return max((len(kids) for kids in self._children.values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -208,10 +205,7 @@ def _anchor_and_gap(tree: LabeledTree, added: Mapping[Node, object], node: Node,
 
 def check_bounded(enum: MonotoneEnumeration, b: int) -> Optional[Node]:
     """None if every node has length <= b, else the first offending node."""
-    for node in sorted(enum.current.nodes):
-        if len(node) > b:
-            return node
-    return None
+    return min((node for node in enum.current.nodes if len(node) > b), default=None)
 
 
 @dataclass(frozen=True)
@@ -262,10 +256,11 @@ def run_to_finiteness(gen: Iterator[Mapping[Node, object]],
         if isinstance(result, StepRejection):
             return result
         enum = result
-        offender = check_bounded(enum, b)
+        delta = enum.deltas[-1]  # the earlier stages passed; only the delta can fail
+        offender = min((node for node in delta if len(node) > b), default=None)
         if offender is not None:
             return PreconditionViolation("bound", offender, f"node longer than bound {b}")
-        if enum.current.max_branching() > d:
+        if any(len(enum.current.children(node[:-1])) > d for node in delta):
             return PreconditionViolation("branching", None, f"branching exceeds {d}")
     return FuelExhausted(enum)
 
@@ -292,29 +287,11 @@ class RankAssignment:
                 raise ValueError(f"rank of {node} is not below the bound")
 
 
-def _bottom_up(tree: LabeledTree, own) -> Ordinal:
-    """The root's value, where a node's value is `own(node, kids)` (None
-    for nothing) natural-summed with its children's values in order; nodes
-    are entered in depth-first pre-order on an explicit stack, not by recursion."""
-    kids = tree.children(ROOT)
-    stack = [[iter(kids), own(ROOT, kids)]]
-    while True:
-        kid = next(stack[-1][0], None)
-        if kid is not None:
-            kids = tree.children(kid)
-            stack.append([iter(kids), own(kid, kids)])
-            continue
-        value = stack.pop()[1]
-        if not stack:
-            return value
-        parent = stack[-1]
-        parent[1] = value if parent[1] is None else nat_add(parent[1], value)
-
-
 def zeta_measure(tree: LabeledTree, ranks: RankAssignment) -> Ordinal:
     """Bottom-up measure: leaves give w^rank, internal nodes the natural
-    sum of their children.  Always below w^bound."""
-    return _bottom_up(tree, lambda node, kids: None if kids else omega_pow(ranks.get(node)))
+    sum of their children, so the root's is the sum of w^rank over the
+    leaves (in sorted, depth-first order).  Always below w^bound."""
+    return _nat_sum(Counter(omega_pow(ranks.get(leaf))[0][0] for leaf in tree.leaves()))
 
 
 @dataclass(frozen=True)
@@ -329,21 +306,28 @@ def zeta_decrease_check(enum: MonotoneEnumeration, ranks: RankAssignment) -> Zet
     """Verify the measure strictly drops at every growing stage.
 
     First enforces the rank precondition (every added node ranked strictly
-    below its parent), then recomputes the measure per stage from scratch;
-    idle stages are exempt from the decrease requirement.
+    below its parent), then keeps the current leaves and a count of their
+    ranks: each added node, in sorted order, takes its parent's place.
+    Idle stages are exempt from the decrease requirement.
     """
-    for s, delta in enumerate(enum.deltas):
-        if s == 0:
-            continue
+    for s, delta in enumerate(enum.deltas[1:], start=1):
         for node in sorted(delta):
             if compare(ranks.get(node), ranks.get(node[:-1])) != LT:
                 return ZetaCheckResult(False, s, "rank", node)
-    previous: Optional[Ordinal] = None
-    for s, tree in enumerate(enum.stages):
-        current = zeta_measure(tree, ranks)
-        if s > 0 and enum.deltas[s]:
-            if compare(current, previous) != LT:
-                return ZetaCheckResult(False, s, "decrease")
+    # later nodes rank below a leaf of stage 0, so only those ranks can be too deep
+    inner = {node[:-1] for node in enum.deltas[0] if node}
+    leaves = {leaf: omega_pow(ranks.get(leaf))[0][0] for leaf in sorted(enum.deltas[0] - inner)}
+    counts = Counter(leaves.values())
+    previous = _nat_sum(counts)
+    for s, delta in enumerate(enum.deltas[1:], start=1):
+        for node in sorted(delta):
+            if node[:-1] in leaves:
+                counts[leaves.pop(node[:-1])] -= 1
+            leaves[node] = ranks.get(node)
+            counts[leaves[node]] += 1
+        current = _nat_sum(counts)
+        if delta and compare(current, previous) != LT:
+            return ZetaCheckResult(False, s, "decrease")
         previous = current
     return ZetaCheckResult(True)
 
@@ -356,13 +340,13 @@ def zeta_pair_measure(tree: LabeledTree,
     Each node contributes w^(f0 + f1) times its free child slots
     (2 - #children), combined with its children by natural sum.
     """
-
-    def own(node: Node, kids: List[Node]) -> Ordinal:
+    counts = Counter()
+    for node in sorted(tree.nodes):
+        kids = tree.children(node)
         if len(kids) > 2:
             raise ValueError(f"node {node} has {len(kids)} children; tree must be binary")
-        return nat_mul_k(omega_pow(from_int(f0[node] + f1[node])), 2 - len(kids))
-
-    return _bottom_up(tree, own)
+        counts[from_int(f0[node] + f1[node])] += 2 - len(kids)
+    return _nat_sum(counts)
 
 
 def extendible_node(tree: LabeledTree, level: int) -> Node:

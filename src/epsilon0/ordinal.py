@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import re
 from math import isqrt, log10
-from typing import Iterable, Iterator, Tuple, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 __all__ = [
     "LT", "EQ", "GT",
@@ -285,6 +286,13 @@ def nat_add(a: Ordinal, b: Ordinal) -> Ordinal:
     out.extend(a[i:])
     out.extend(b[j:])
     return _raw(Ordinal, out)
+
+
+def _nat_sum(counts: Mapping[Ordinal, int]) -> Ordinal:
+    """The natural sum of w^e * counts[e]: the exponents sorted once,
+    descending, zero counts skipped and the rest checked as coefficients."""
+    terms = sorted([t for t in counts.items() if t[1]], key=itemgetter(0), reverse=True)
+    return _raw(Ordinal, [(e, _check_coeff(c)) for e, c in terms])
 
 
 def nat_mul_k(a: Ordinal, k: int) -> Ordinal:

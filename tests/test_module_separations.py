@@ -17,6 +17,10 @@ shares no helper with the kernel.
 Ordinal text has one parser, `epsilon0.ordinal.parse_ordinal`, which
 tokenizes with one regex: no character scanner is left, and the log
 parsers of `descent` and `enumeration` call it instead of a copy.
+A natural sum of many values is one exponent count, `ordinal._nat_sum`:
+no tree fold is left in `enumeration`, `nat_add` is used only where
+`gamma_combine` re-runs the one-by-one sum to name an overflow, and
+`zeta_decrease_check` replays the deltas instead of reading the stages.
 """
 
 import ast
@@ -258,3 +262,26 @@ def test_ordinal_text_has_one_tokenizing_parser():
         functions = _functions(Path(module.__file__))
         assert not [name for name in functions if "parse_ord" in name or "_term" in name]
         assert any("parse_ordinal" in _called_names(f) for f in functions.values())
+
+
+def test_natural_sums_of_many_values_are_counted():
+    enumeration = _functions(SRC / "enumeration.py")
+    assert not any("_bottom_up" in path.read_text() for path in SRC.rglob("*.py"))
+    assert "_nat_sum" in _called_names(enumeration["zeta_measure"])
+    assert "_nat_sum" in _called_names(enumeration["zeta_pair_measure"])
+    assert "_nat_sum" in _called_names(enumeration["zeta_decrease_check"])
+    assert not _mentions(enumeration["zeta_decrease_check"], "stages")
+    # nat_add, called or passed, appears only in gamma_combine's overflow handler
+    users = sorted((path.name, f.name) for path in (SRC / "descent.py", SRC / "enumeration.py")
+                   for f in _functions(path).values() if _mentions(f, "nat_add"))
+    assert users == [("descent.py", "gamma_combine")]
+    combine = _functions(SRC / "descent.py")["gamma_combine"]
+    assert "_nat_sum" in _called_names(combine)
+    (handler,) = [h for h in ast.walk(combine) if isinstance(h, ast.ExceptHandler)]
+    assert ast.unparse(handler.type) == "OrdinalOverflowError"
+
+    def nat_adds(node):
+        return sum(isinstance(n, ast.Name) and n.id == "nat_add"
+                   or isinstance(n, ast.Attribute) and n.attr == "nat_add" for n in ast.walk(node))
+
+    assert nat_adds(combine) == nat_adds(handler) == 1
