@@ -140,7 +140,7 @@ def _builtin_generator(style: str, b: int, d: int, seed: int):
                 nxt = []
                 for node in level:
                     nxt.extend(node + (i,) for i in range(d))
-                yield {n: None for n in nxt}
+                yield nxt
                 level = nxt
         return gen()
     if style == "chain":
@@ -148,14 +148,14 @@ def _builtin_generator(style: str, b: int, d: int, seed: int):
             node = ()
             for _ in range(b):
                 node = node + (0,)
-                yield {node: None}
+                yield [node]
         return gen()
     if style == "random":
         rng = SplitMix64(seed)
         def gen():
             leaves = [()]
             while leaves:
-                stage = {}
+                stage = []
                 new_leaves = []
                 for leaf in leaves:
                     if len(leaf) >= b:
@@ -166,7 +166,7 @@ def _builtin_generator(style: str, b: int, d: int, seed: int):
                         continue
                     for i in range(kids):
                         child = leaf + (i,)
-                        stage[child] = None
+                        stage.append(child)
                         new_leaves.append(child)
                 if not stage:
                     return
@@ -188,8 +188,8 @@ def _cmd_enum(args) -> int:
         return OK
     if args.op == "measure":
         enum, ranks, bound = enum_mod.parse_enumeration_log(_read(args))
-        for s, tree in enumerate(enum.stages):
-            print(f"stage={s} zeta={format_ordinal(enum_mod.zeta_measure(tree, ranks))}")
+        for s, zeta in enumerate(enum_mod._stage_measures(enum, ranks)):
+            print(f"stage={s} zeta={format_ordinal(zeta)}")
         verdict = enum_mod.zeta_decrease_check(enum, ranks)
         if verdict.ok:
             print("decrease ok")

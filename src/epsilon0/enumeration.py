@@ -1,17 +1,22 @@
 """Staged monotone enumerations and their ordinal termination measures.
 
-A monotone enumeration grows a finitely branching labelled tree in stages:
+A monotone enumeration grows a finitely branching tree in stages:
 the root appears at stage 0, each stage adds finitely many nodes, and
 every node added at stage s+1 must properly extend a node that was a leaf
 at the end of stage s.  A b-bounded enumeration (all nodes of length at
 most b) with branching at most d can never exceed (d+1)^(b+1) nodes, which
 is the desk-scale content of "bounded monotone enumerations are finite".
 
+An enumeration is recorded as its per-stage additions (the deltas) plus
+the tree at its last stage; the tree of an earlier stage is rebuilt from
+the deltas when asked for.
+
 Two ordinal measures witness termination:
 
 * `zeta_measure` assigns w^rank to every leaf and the natural sum of the
   children to every internal node; growing a leaf into strictly
-  lower-ranked children strictly shrinks the value.
+  lower-ranked children strictly shrinks the value.  `eps0 enum measure`
+  and `zeta_decrease_check` read it off one leaf-rank count per stage.
 * `zeta_pair_measure` is the two-rank variant for binary trees: each node
   contributes w^(f0 + f1) * (2 - #children), plus its children.
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .ordinal import (
@@ -64,14 +69,14 @@ class MissingRankError(ValueError):
 
 
 class LabeledTree:
-    """A finite prefix-closed set of integer sequences with payloads.
+    """A finite prefix-closed set of integer sequences.
 
     Children are ordered by their final coordinate.
     """
 
-    __slots__ = ("nodes", "labels", "_children")
+    __slots__ = ("nodes", "_children")
 
-    def __init__(self, nodes: Iterable[Node], labels: Optional[Mapping[Node, object]] = None):
+    def __init__(self, nodes: Iterable[Node]):
         nodes = frozenset(tuple(n) for n in nodes)
         if ROOT not in nodes:
             raise ValueError("the root must be present")
@@ -85,8 +90,21 @@ class LabeledTree:
         for kids in children.values():
             kids.sort()
         self.nodes: FrozenSet[Node] = nodes
-        self.labels: Dict[Node, object] = dict(labels or {})
         self._children = children
+
+    def _grown(self, delta: FrozenSet[Node]) -> "LabeledTree":
+        """This tree plus `delta`, where every node of `delta` has its
+        parent among this tree's leaves or in `delta` (as `step` checks).
+        The node set and children dict are copied, which reuses the stored
+        hashes; only the parents of delta nodes get new child lists, so
+        this tree is left as it was."""
+        tree = LabeledTree.__new__(LabeledTree)
+        tree.nodes = self.nodes | delta
+        tree._children = children = dict(self._children)
+        children.update((node, []) for node in delta | {node[:-1] for node in delta})
+        for node in sorted(delta):
+            children[node[:-1]].append(node)
+        return tree
 
     def __contains__(self, node: Node) -> bool:
         return node in self.nodes
@@ -118,35 +136,41 @@ class StepRejection:
 
 @dataclass(frozen=True)
 class MonotoneEnumeration:
-    """Stage snapshots T[0], T[1], ... plus the per-stage additions."""
+    """The per-stage additions: `deltas[0]` is the tree T[0] and
+    `deltas[s]` the nodes added at stage s.  `current` is the last tree;
+    it follows from the deltas, so equality, hash and repr ignore it."""
 
-    stages: Tuple[LabeledTree, ...]
     deltas: Tuple[FrozenSet[Node], ...]
+    current: LabeledTree = field(compare=False, repr=False)
 
     @classmethod
-    def initial(cls, root_label: object = None) -> "MonotoneEnumeration":
-        tree = LabeledTree([ROOT], {ROOT: root_label} if root_label is not None else {})
-        return cls(stages=(tree,), deltas=(frozenset({ROOT}),))
+    def initial(cls) -> "MonotoneEnumeration":
+        return cls(deltas=(frozenset({ROOT}),), current=LabeledTree([ROOT]))
 
     @property
-    def current(self) -> LabeledTree:
-        return self.stages[-1]
+    def stages(self) -> Tuple[LabeledTree, ...]:
+        """The trees T[0], T[1], ..., replayed from the deltas."""
+        trees = [LabeledTree(self.deltas[0])]
+        for delta in self.deltas[1:]:
+            trees.append(trees[-1]._grown(delta))
+        return tuple(trees)
 
     def stage_count(self) -> int:
-        return len(self.stages)
+        return len(self.deltas)
 
 
 def step(enum: MonotoneEnumeration,
-         additions: Mapping[Node, object]) -> Union[MonotoneEnumeration, StepRejection]:
+         additions: Iterable[Node]) -> Union[MonotoneEnumeration, StepRejection]:
     """Append the next stage, or reject with the violated clause.
 
     Every added node must properly extend a leaf of the current tree, with
     any intermediate nodes also among the additions (so the result stays
     prefix-closed).  An empty addition set is an idle stage.  The first
-    offending node in `additions` order is rejected.
+    offending node in `additions` order is rejected.  `enum` itself is
+    not changed, so it can be stepped again.
     """
     tree = enum.current
-    added = {tuple(n): lab for n, lab in additions.items()}
+    added = dict.fromkeys(map(tuple, additions))
     found: Dict[Node, Tuple[Node, Optional[Node]]] = {}
     for node in added:
         if node in tree:
@@ -160,14 +184,11 @@ def step(enum: MonotoneEnumeration,
             return StepRejection(3, node, "does not extend a terminal node")
         if gap is not None:
             return StepRejection(3, node, f"missing intermediate node {gap}")
-    labels = dict(tree.labels)
-    labels.update(added)
-    new_tree = LabeledTree(tree.nodes | set(added), labels)
-    return MonotoneEnumeration(stages=enum.stages + (new_tree,),
-                               deltas=enum.deltas + (frozenset(added),))
+    delta = frozenset(added)
+    return MonotoneEnumeration(deltas=enum.deltas + (delta,), current=tree._grown(delta))
 
 
-def _anchor_and_gap(tree: LabeledTree, added: Mapping[Node, object], node: Node,
+def _anchor_and_gap(tree: LabeledTree, added: Mapping[Node, None], node: Node,
                     found: Dict[Node, Tuple[Node, Optional[Node]]]
                     ) -> Tuple[Node, Optional[Node]]:
     """For an added node outside the tree: its longest prefix in the tree
@@ -230,7 +251,7 @@ class PreconditionViolation:
 RunOutcome = Union[Finished, FuelExhausted, StepRejection, PreconditionViolation]
 
 
-def run_to_finiteness(gen: Iterator[Mapping[Node, object]],
+def run_to_finiteness(gen: Iterator[Iterable[Node]],
                       b: int, d: int, fuel: int) -> RunOutcome:
     """Drive a stage generator until it stops, it misbehaves, or fuel runs out.
 
@@ -302,30 +323,44 @@ class ZetaCheckResult:
     node: Optional[Node] = None
 
 
+def _stage_measures(enum: MonotoneEnumeration, ranks: RankAssignment) -> Iterator[Ordinal]:
+    """`zeta_measure` of every stage's tree in turn, from the deltas alone.
+
+    Keeps the current leaves and the count of their ranks.  At each stage
+    the parents of the added nodes stop being leaves, and the added nodes
+    that are leaves at its end, in sorted order, enter with w^rank; the
+    older leaves were measured at earlier stages, so the first missing or
+    too-deep rank raised is the one `zeta_measure` of that tree raises.
+    """
+    leaves: Dict[Node, Ordinal] = {}
+    counts: Counter = Counter()
+    for delta in enum.deltas:
+        parents = {node[:-1] for node in delta if node}
+        for parent in parents & leaves.keys():
+            rank = leaves.pop(parent)
+            counts[rank] -= 1
+            if not counts[rank]:
+                del counts[rank]
+        for node in sorted(delta - parents):
+            leaves[node] = omega_pow(ranks.get(node))[0][0]
+            counts[leaves[node]] += 1
+        yield _nat_sum(counts)
+
+
 def zeta_decrease_check(enum: MonotoneEnumeration, ranks: RankAssignment) -> ZetaCheckResult:
     """Verify the measure strictly drops at every growing stage.
 
     First enforces the rank precondition (every added node ranked strictly
-    below its parent), then keeps the current leaves and a count of their
-    ranks: each added node, in sorted order, takes its parent's place.
+    below its parent), then compares the measures of consecutive stages.
     Idle stages are exempt from the decrease requirement.
     """
     for s, delta in enumerate(enum.deltas[1:], start=1):
         for node in sorted(delta):
             if compare(ranks.get(node), ranks.get(node[:-1])) != LT:
                 return ZetaCheckResult(False, s, "rank", node)
-    # later nodes rank below a leaf of stage 0, so only those ranks can be too deep
-    inner = {node[:-1] for node in enum.deltas[0] if node}
-    leaves = {leaf: omega_pow(ranks.get(leaf))[0][0] for leaf in sorted(enum.deltas[0] - inner)}
-    counts = Counter(leaves.values())
-    previous = _nat_sum(counts)
-    for s, delta in enumerate(enum.deltas[1:], start=1):
-        for node in sorted(delta):
-            if node[:-1] in leaves:
-                counts[leaves.pop(node[:-1])] -= 1
-            leaves[node] = ranks.get(node)
-            counts[leaves[node]] += 1
-        current = _nat_sum(counts)
+    measures = _stage_measures(enum, ranks)
+    previous = next(measures)
+    for s, (delta, current) in enumerate(zip(enum.deltas[1:], measures), start=1):
         if delta and compare(current, previous) != LT:
             return ZetaCheckResult(False, s, "decrease")
         previous = current
@@ -406,7 +441,7 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
     enum = MonotoneEnumeration.initial()
     ranks: Dict[Node, Ordinal] = {}
     bound = OMEGA
-    pending: Optional[Dict[Node, object]] = None
+    pending: Optional[List[Node]] = None
     expected_stage = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -427,13 +462,13 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
             if declared != expected_stage:
                 raise ValueError(f"line {lineno}: expected stage {expected_stage}, got {declared}")
             expected_stage += 1
-            pending = {}
+            pending = []
         elif keyword == "add":
             if pending is None:
                 raise ValueError(f"line {lineno}: 'add' before any 'stage'")
             node_text, rank_text = _line_fields(keyword, line, lineno)
             node = parse_node(node_text)
-            pending[node] = None
+            pending.append(node)
             if rank_text is not None:
                 ranks[node] = parse_ordinal(rank_text)
         else:

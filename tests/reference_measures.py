@@ -2,18 +2,22 @@
 verbatim as the reference for the counting versions in `epsilon0`:
 the explicit-stack tree fold behind both ζ-measures, the per-stage
 re-measure of `zeta_decrease_check`, the per-event re-sum of
-`gamma_combine`, and the whole-tree bound and branching checks of
-`run_to_finiteness`."""
+`gamma_combine`, the whole-tree bound and branching checks of
+`run_to_finiteness`, and `eps0 enum measure` printing one measure per
+stage snapshot."""
 
+from pathlib import Path
 from typing import Iterator, List, Mapping, Optional
 
 from epsilon0.descent import DescentTrace, StreamEventLog
 from epsilon0.enumeration import (
     ROOT, Finished, FuelExhausted, LabeledTree, MonotoneEnumeration, Node,
     PreconditionViolation, RankAssignment, RunOutcome, StepRejection, ZetaCheckResult,
-    check_bounded, step,
+    check_bounded, parse_enumeration_log, step,
 )
-from epsilon0.ordinal import LT, Ordinal, compare, from_int, nat_add, nat_mul_k, omega_pow
+from epsilon0.ordinal import (
+    LT, Ordinal, compare, format_ordinal, from_int, nat_add, nat_mul_k, omega_pow,
+)
 
 
 def _bottom_up(tree: LabeledTree, own) -> Ordinal:
@@ -55,7 +59,7 @@ def ref_zeta_decrease_check(enum: MonotoneEnumeration, ranks: RankAssignment) ->
             if compare(ranks.get(node), ranks.get(node[:-1])) != LT:
                 return ZetaCheckResult(False, s, "rank", node)
     previous: Optional[Ordinal] = None
-    for s, tree in enumerate(enum.stages):
+    for s, tree in enumerate(ref_snapshots(enum)):
         current = ref_zeta_measure(tree, ranks)
         if s > 0 and enum.deltas[s]:
             if compare(current, previous) != LT:
@@ -125,3 +129,27 @@ def ref_run_to_finiteness(gen: Iterator[Mapping[Node, object]],
         if max((len(enum.current.children(n)) for n in enum.current.nodes), default=0) > d:
             return PreconditionViolation("branching", None, f"branching exceeds {d}")
     return FuelExhausted(enum)
+
+
+def ref_snapshots(enum: MonotoneEnumeration) -> List[LabeledTree]:
+    """Every stage's tree, each built from scratch from the deltas so far."""
+    nodes = set()
+    trees = []
+    for delta in enum.deltas:
+        nodes |= delta
+        trees.append(LabeledTree(nodes))
+    return trees
+
+
+def ref_cmd_enum_measure(args) -> int:
+    """`eps0 enum measure` as it measured every stage snapshot on its own
+    before the decrease check; a drop-in for `epsilon0.cli._cmd_enum`."""
+    enum, ranks, _ = parse_enumeration_log(Path(args.file).read_text())
+    for s, tree in enumerate(ref_snapshots(enum)):
+        print(f"stage={s} zeta={format_ordinal(ref_zeta_measure(tree, ranks))}")
+    verdict = ref_zeta_decrease_check(enum, ranks)
+    if verdict.ok:
+        print("decrease ok")
+        return 0
+    print(f"violation stage={verdict.stage} kind={verdict.kind}")
+    return 1

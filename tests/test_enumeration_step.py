@@ -1,16 +1,18 @@
 """`step` against the prefix-scanning version it replaced.
 
-`reference_step` is the old `step` verbatim: for every added node it
-slices each prefix to find the anchor and the first missing intermediate
-node, O(d^2) work per node of depth d.  The current `step` decides a node
-from its parent; both must return the same enumeration, or the same first
-rejection (node, clause and reason, in `additions` order).
+`reference_step` is the old `step`: for every added node it slices each
+prefix to find the anchor and the first missing intermediate node, O(d^2)
+work per node of depth d, and it builds the next tree from scratch.  The
+current `step` decides a node from its parent and grows a copy of the
+current tree; both must return the same enumeration and tree, or the same
+first rejection (node, clause and reason, in `additions` order).  Stepping
+an older enumeration again (a fork) must leave its tree as it was.
 """
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsilon0.cli import main
@@ -21,7 +23,7 @@ from epsilon0.enumeration import (
 
 def reference_step(enum, additions):
     tree = enum.current
-    added = {tuple(n): lab for n, lab in additions.items()}
+    added = dict.fromkeys(map(tuple, additions))
     for node in added:
         if node in tree:
             return StepRejection(3, node, "node already enumerated")
@@ -36,19 +38,20 @@ def reference_step(enum, additions):
         for j in range(k + 1, len(node)):
             if node[:j] not in added:
                 return StepRejection(3, node, f"missing intermediate node {node[:j]}")
-    labels = dict(tree.labels)
-    labels.update(added)
-    new_tree = LabeledTree(tree.nodes | set(added), labels)
-    return MonotoneEnumeration(stages=enum.stages + (new_tree,),
-                               deltas=enum.deltas + (frozenset(added),))
+    return MonotoneEnumeration(deltas=enum.deltas + (frozenset(added),),
+                               current=LabeledTree(tree.nodes | set(added)))
 
 
 def enumeration_of(nodes):
     closed = {()}
     for node in nodes:
         closed.update(node[:k] for k in range(len(node) + 1))
-    tree = LabeledTree(closed, {node: len(node) for node in closed})
-    return MonotoneEnumeration(stages=(tree,), deltas=(frozenset(closed),))
+    return MonotoneEnumeration(deltas=(frozenset(closed),), current=LabeledTree(closed))
+
+
+def shape(tree):
+    """A tree's nodes and every node's children, for comparing trees."""
+    return tree.nodes, {node: tree.children(node) for node in tree.nodes}
 
 
 def assert_same_step(enum, additions):
@@ -57,9 +60,8 @@ def assert_same_step(enum, additions):
         assert got == want
     else:
         assert isinstance(got, MonotoneEnumeration)
-        assert got.deltas == want.deltas
-        assert got.current.nodes == want.current.nodes
-        assert got.current.labels == want.current.labels
+        assert got == want                      # the deltas; `current` is not compared
+        assert shape(got.current) == shape(want.current)
     return want
 
 
@@ -68,13 +70,12 @@ short_node = st.lists(coordinate, max_size=3).map(tuple)
 
 
 @st.composite
-def stage_scripts(draw):
-    """A current tree and one stage's additions, built to reach every
-    clause: chains grown from leaves and from internal nodes, chains with
-    missing links, nodes already in the tree, in any order (children
-    often before their parents)."""
-    enum = enumeration_of(draw(st.lists(short_node, max_size=6)))
-    nodes = sorted(enum.current.nodes)
+def additions_to(draw, tree):
+    """One stage's additions to `tree`, built to reach every clause:
+    chains grown from leaves and from internal nodes, chains with missing
+    links, nodes already in the tree, in any order (children often before
+    their parents), or nothing (an idle stage)."""
+    nodes = sorted(tree.nodes)
     additions = []
     for _ in range(draw(st.integers(0, 4))):
         base = draw(st.sampled_from(nodes))
@@ -84,17 +85,46 @@ def stage_scripts(draw):
         additions += [node for i, node in enumerate(chain) if i not in missing]
     if draw(st.booleans()):
         additions.append(draw(st.sampled_from(nodes)))         # already enumerated
-    additions = draw(st.permutations(additions))
-    return enum, {node: draw(st.integers(0, 3)) for node in additions}
+    return draw(st.permutations(additions))
+
+
+@st.composite
+def stage_scripts(draw):
+    """A current tree and one stage's additions."""
+    enum = enumeration_of(draw(st.lists(short_node, max_size=6)))
+    return enum, draw(additions_to(enum.current))
 
 
 @given(stage_scripts())
-@example((enumeration_of([]), {(0, 0, 0): 1, (0, 0): 2, (0,): 3}))
-@example((enumeration_of([(0,)]), {(0, 0, 0): 1, (0,): 2}))
-@example((enumeration_of([(0, 1)]), {(0, 2, 1): 1, (0, 2): 1, (1, 0, 0): 2}))
-@example((enumeration_of([(0,)]), {(0, 0, 1, 1): 1, (0, 0): 1}))
+@example((enumeration_of([]), [(0, 0, 0), (0, 0), (0,)]))
+@example((enumeration_of([(0,)]), [(0, 0, 0), (0,)]))
+@example((enumeration_of([(0, 1)]), [(0, 2, 1), (0, 2), (1, 0, 0)]))
+@example((enumeration_of([(0,)]), [(0, 0, 1, 1), (0, 0)]))
 def test_step_matches_the_reference(script):
     assert_same_step(*script)
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(short_node, max_size=4), st.data())
+def test_stepping_and_forking_grow_the_trees_a_rebuild_gives(start, data):
+    # each entry: an enumeration and its stage trees, built from scratch
+    enum = enumeration_of(start)
+    history = [(enum, [enum.current])]
+    for _ in range(data.draw(st.integers(1, 6))):
+        enum, snapshots = history[data.draw(st.integers(0, len(history) - 1))]
+        before = shape(enum.current)
+        additions = data.draw(additions_to(enum.current))
+        got, want = step(enum, additions), reference_step(enum, additions)
+        assert shape(enum.current) == before
+        assert got == want
+        if isinstance(want, StepRejection):
+            continue
+        snapshots = snapshots + [want.current]
+        assert shape(got.current) == shape(want.current)
+        assert [shape(tree) for tree in got.stages] == [shape(tree) for tree in snapshots]
+        history.append((got, snapshots))
+    for enum, snapshots in history:
+        assert shape(enum.current) == shape(snapshots[-1])
 
 
 def test_every_rejection_clause_is_reached_with_children_first():

@@ -21,10 +21,15 @@ A natural sum of many values is one exponent count, `ordinal._nat_sum`:
 no tree fold is left in `enumeration`, `nat_add` is used only where
 `gamma_combine` re-runs the one-by-one sum to name an overflow, and
 `zeta_decrease_check` replays the deltas instead of reading the stages.
+An enumeration stores its deltas and one current tree, no labels, and
+has one per-stage measure, `_stage_measures`, which both
+`zeta_decrease_check` and `eps0 enum measure` read.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import epsilon0.cli
@@ -269,7 +274,7 @@ def test_natural_sums_of_many_values_are_counted():
     assert not any("_bottom_up" in path.read_text() for path in SRC.rglob("*.py"))
     assert "_nat_sum" in _called_names(enumeration["zeta_measure"])
     assert "_nat_sum" in _called_names(enumeration["zeta_pair_measure"])
-    assert "_nat_sum" in _called_names(enumeration["zeta_decrease_check"])
+    assert "_nat_sum" in _called_names(enumeration["_stage_measures"])
     assert not _mentions(enumeration["zeta_decrease_check"], "stages")
     # nat_add, called or passed, appears only in gamma_combine's overflow handler
     users = sorted((path.name, f.name) for path in (SRC / "descent.py", SRC / "enumeration.py")
@@ -285,3 +290,16 @@ def test_natural_sums_of_many_values_are_counted():
                    or isinstance(n, ast.Attribute) and n.attr == "nat_add" for n in ast.walk(node))
 
     assert nat_adds(combine) == nat_adds(handler) == 1
+
+
+def test_an_enumeration_is_its_deltas_and_has_one_stage_measure():
+    enum_mod = epsilon0.enumeration
+    fields = [f.name for f in dataclasses.fields(enum_mod.MonotoneEnumeration)]
+    assert fields == ["deltas", "current"]
+    assert enum_mod.LabeledTree.__slots__ == ("nodes", "_children")
+    assert not inspect.signature(enum_mod.MonotoneEnumeration.initial).parameters
+    enumeration = _functions(SRC / "enumeration.py")
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert not _mentions(cli, "stages") and not _mentions(cli, "zeta_measure")
+    assert "_stage_measures" in _called_names(enumeration["zeta_decrease_check"])
+    assert "_stage_measures" in _called_names(_functions(SRC / "cli.py")["_cmd_enum"])
