@@ -239,7 +239,9 @@ def _parse_bits(line: Optional[str], n: int) -> int:
 
 
 def _format_bits(bits: int, n: int) -> str:
-    return "".join("1" if (bits >> i) & 1 else "0" for i in range(pair_count(n)))
+    # character i is bit i of the code: the low C(n,2) bits, printed reversed
+    m = pair_count(n)
+    return format(bits & ((1 << m) - 1), f"0{m}b")[::-1] if m else ""
 
 
 def parse_coloring(text: str) -> PairColoring:

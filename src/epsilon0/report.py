@@ -1,30 +1,32 @@
 """Run reports with deterministic serialization.
 
-A Report carries the run configuration, per-instance rows, aggregate
-counters derived purely from the rows, and the wall-clock time.  All
+A Report carries the run configuration, the per-instance cells column by
+column (`rows` is a derived, read-only view of them row by row), aggregate
+counters derived purely from the cells, and the wall-clock time.  All
 emitted formats are byte-deterministic for a fixed configuration; the
 wall-clock never appears in them (callers print it to stderr if they want
 it).  Three formats:
 
 * tsv: `# key<TAB>value` header lines, a column-name line, then one row
-  per instance (possibly capped, with a trailing `# truncated` marker);
+  per instance, each distinct row tail (the cells after `instance`)
+  formatted once (possibly capped, with a trailing `# truncated` marker);
 * summary: the aggregates, one `key=value` per line;
 * trace: one JSON document per instance for runs that produce replayable
   solver traces.
 
-`summarize_rows` recomputes the aggregates from rows alone, which is what
+`summarize` recomputes the aggregates from the cells alone, which is what
 ties the summary to the tsv (parse a tsv back and you must get the same
 summary).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Report", "summarize_rows", "emit", "parse_tsv"]
+import numpy as np
+
+__all__ = ["Report", "summarize", "emit", "parse_tsv"]
 
 FORMATS = ("summary", "tsv", "trace")
 
@@ -36,12 +38,17 @@ class Report:
     mode: str                      # "exhaustive" or "sample"
     seed: Optional[int]
     columns: Tuple[str, ...]
-    rows: List[Tuple]              # cells are ints or strings
+    cells: Tuple[Sequence, ...]    # one per column, ints or strings, rows kept only
     count: int                     # instances run (rows may be capped)
     failures: int
     truncated: bool = False
     traces: List[str] = field(default_factory=list)  # JSON lines
     wall_clock: float = 0.0        # never serialized into reports
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """The cells as one tuple of Python ints and strings per row."""
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.cells)))
 
     def config_items(self) -> List[Tuple[str, str]]:
         return [
@@ -54,32 +61,47 @@ class Report:
         ]
 
 
-def _value_counts(rows: Sequence[Tuple], column: int) -> Counter:
-    """How often each integer value occurs in one column, with one int() per distinct cell."""
-    counts: Counter = Counter()
-    for cell, times in Counter(map(itemgetter(column), rows)).items():
-        counts[int(cell)] += times
-    return counts
-
-
-def summarize_rows(columns: Sequence[str], rows: Sequence[Tuple]) -> Dict[str, int]:
-    """Aggregates recomputed from rows: total, ok/failed counts from the
-    `ok` column if present, and a size histogram from the `size` column."""
-    out: Dict[str, int] = {"instances": len(rows)}
+def summarize(columns: Sequence[str], cells: Sequence[Sequence]) -> Dict[str, int]:
+    """Aggregates recomputed from the cells of each column (ints or their
+    decimal strings): total, ok/failed counts from the `ok` column if
+    present, and a size histogram from the `size` column."""
+    kept = len(cells[0]) if cells else 0
+    out: Dict[str, int] = {"instances": kept}
     if "ok" in columns:
-        ok = _value_counts(rows, list(columns).index("ok"))[1]
-        out["valid"] = ok
-        out["invalid"] = len(rows) - ok
+        ok = np.count_nonzero(np.asarray(cells[columns.index("ok")], dtype=np.int64) == 1)
+        out["valid"] = int(ok)
+        out["invalid"] = kept - int(ok)
     if "size" in columns:
-        hist = _value_counts(rows, list(columns).index("size"))
-        for size in sorted(hist):
-            out[f"size_{size}"] = hist[size]
+        hist = np.bincount(np.asarray(cells[columns.index("size")], dtype=np.int64))
+        for size in np.flatnonzero(hist).tolist():
+            out[f"size_{size}"] = int(hist[size])
     return out
+
+
+def _row_lines(cells: Sequence[Sequence]) -> List[str]:
+    """The tsv line of every row, newline included: `str(instance)` joined
+    to its tail, each distinct tail formatted once, found by a key per row."""
+    if not cells:
+        return []
+    key, space = np.zeros(len(cells[0]), dtype=np.int64), 1
+    for column in map(np.asarray, cells[1:]):
+        size = 256                                 # uint8 cells stand for themselves
+        if column.dtype != np.uint8:
+            values, column = np.unique(column, return_inverse=True)
+            size = len(values)
+        if space * size >= 1 << 62:                # renumber the keys seen so far
+            values, key = np.unique(key, return_inverse=True)
+            space = len(values)
+        key, space = key * size + column, space * size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    tails = np.array(["".join(f"\t{column[i]}" for column in cells[1:]) + "\n"
+                      for i in first.tolist()], dtype=object)
+    return [f"{instance}{tail}" for instance, tail in zip(cells[0], tails[inverse].tolist())]
 
 
 def _emit_summary(report: Report) -> str:
     lines = [f"{k}={v}" for k, v in report.config_items()]
-    for k, v in summarize_rows(report.columns, report.rows).items():
+    for k, v in summarize(report.columns, report.cells).items():
         lines.append(f"{k}={v}")
     if report.truncated:
         lines.append("rows_truncated=1")
@@ -87,17 +109,12 @@ def _emit_summary(report: Report) -> str:
 
 
 def _emit_tsv(report: Report) -> str:
-    lines = [f"# {k}\t{v}" for k, v in report.config_items()]
-    lines.append("\t".join(report.columns))
-    for row in report.rows:
-        lines.append("\t".join(str(c) for c in row))
+    lines = [f"# {k}\t{v}\n" for k, v in report.config_items()]
+    lines.append("\t".join(report.columns) + "\n")
+    lines += _row_lines(report.cells)
     if report.truncated:
-        lines.append("# truncated")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_trace(report: Report) -> str:
-    return "".join(line + "\n" for line in report.traces)
+        lines.append("# truncated\n")
+    return "".join(lines)
 
 
 def emit(report: Report, fmt: str) -> str:
@@ -106,7 +123,7 @@ def emit(report: Report, fmt: str) -> str:
     if fmt == "tsv":
         return _emit_tsv(report)
     if fmt == "trace":
-        return _emit_trace(report)
+        return "\n".join(report.traces) + "\n" if report.traces else ""
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 

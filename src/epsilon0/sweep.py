@@ -4,9 +4,10 @@ instances and aggregate the outcomes into a Report.
 Exhaustive sweeps enumerate instance codes in increasing order (colorings
 and tournaments: the packed pair bits; orders: permutations in
 lexicographic order).  Sampled sweeps draw instance i from the documented
-generator with seed (base_seed + i) mod 2^64.  Rows (and coloring traces)
-beyond `max_rows` are dropped from the report but still counted, keeping
-memory flat on large sweeps.
+generator with seed (base_seed + i) mod 2^64.  The report keeps its cells
+by column: the kernels' column arrays, or the sampled row tuples
+transposed once.  Rows (and coloring traces) beyond `max_rows` are cut
+from the report but still counted, keeping memory flat on large sweeps.
 
 Every exhaustive sweep runs as numpy passes over chunks of _CHUNK
 instances, all instances of a chunk stepping through the vertices
@@ -377,42 +378,24 @@ def _trace_lines(n: int, chunk: _ColoringChunk, kept: slice) -> List[str]:
                 step_keys.tolist(), chunk.window[kept].tolist())]
 
 
-#: Rows and trace lines are built this many codes at a time, so that the
-#: lists they are built from stay small next to the report itself.
-_BLOCK = 4096
-
-
 def _coloring_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
-                   want_traces: bool) -> Tuple[np.ndarray, List[Tuple], List[str]]:
-    """The exhaustive coloring sweep over the codes [lo, hi): (ok per code,
-    rows and, when wanted, trace lines of the first `keep` codes)."""
+                   want_traces: bool) -> Tuple[Tuple[np.ndarray, ...], List[str]]:
+    """The exhaustive coloring sweep over the codes [lo, hi): the columns
+    after `instance`, and the trace lines of the first `keep` if wanted."""
     codes = np.arange(lo, hi, dtype=np.uint32)
     chunk = _coloring_chunk(n, codes, window)
     ok = _verify_coloring_chunk(n, codes, chunk) == 0
-    rows: List[Tuple] = []
-    traces: List[str] = []
-    for start in range(0, min(keep, hi - lo), _BLOCK):
-        kept = slice(start, min(start + _BLOCK, keep))
-        rows += zip(codes[kept].tolist(),
-                    *(_POPCOUNT.take(mask[kept]).tolist() for mask in (chunk.g0, chunk.g1, chunk.h)),
-                    chunk.color[kept].tolist(),
-                    [_DIRECTIONS[up] for up in chunk.ascending[kept].tolist()],
-                    ok[kept].astype(np.uint8).tolist())
-        if want_traces:
-            traces += _trace_lines(n, chunk, kept)
-    return ok, rows, traces
+    return ((*_POPCOUNT.take([chunk.g0, chunk.g1, chunk.h]), chunk.color,
+             np.take(_DIRECTIONS, chunk.ascending), ok.astype(np.uint8)),
+            _trace_lines(n, chunk, slice(keep)) if want_traces else [])
 
 
 def _tournament_rows(n: int, lo: int, hi: int, window: int, keep: int,
-                     want_traces: bool) -> Tuple[np.ndarray, List[Tuple], List[str]]:
+                     want_traces: bool) -> Tuple[Tuple[np.ndarray, ...], List[str]]:
     """The exhaustive tournament sweep over the codes [lo, hi)."""
     codes = np.arange(lo, hi, dtype=np.uint32)
     chosen, transitive, b_ok = _tournament_chunk(n, codes, window)
-    ok = transitive & b_ok
-    kept = slice(keep)
-    rows = list(zip(codes[kept].tolist(), _POPCOUNT.take(chosen[kept]).tolist(),
-                    *(c[kept].astype(np.uint8).tolist() for c in (transitive, b_ok, ok))))
-    return ok, rows, []
+    return (_POPCOUNT.take(chosen), *np.uint8([transitive, b_ok, transitive & b_ok])), []
 
 
 def _monotone_runs(ranks: np.ndarray, chain: np.ndarray, ascending: np.ndarray) -> np.ndarray:
@@ -430,7 +413,7 @@ def _monotone_runs(ranks: np.ndarray, chain: np.ndarray, ascending: np.ndarray) 
 
 
 def _order_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
-                want_traces: bool) -> Tuple[np.ndarray, List[Tuple], List[str]]:
+                want_traces: bool) -> Tuple[Tuple[np.ndarray, ...], List[str]]:
     """The exhaustive order sweep over the permutations [lo, hi) in
     `itertools.permutations` order: ads_solve's sequence per ranking, its
     monotonicity checked against the ranking and the ceil(sqrt(n)) bound."""
@@ -440,12 +423,8 @@ def _order_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
     ascending, size, chain = _longest_monotone(ranks, np.ones(ranks.shape, dtype=bool))
     monotone = _monotone_runs(ranks, chain, ascending)
     b_ok = size >= ascdesc_bound(n)
-    ok = monotone & b_ok
-    kept = slice(keep)
-    rows = list(zip(range(lo, hi), size[kept].tolist(),
-                    [_DIRECTIONS[up] for up in ascending[kept].tolist()],
-                    *(c[kept].astype(np.uint8).tolist() for c in (monotone, b_ok, ok))))
-    return ok, rows, []
+    return (size.astype(np.uint8), np.take(_DIRECTIONS, ascending),
+            *np.uint8([monotone, b_ok, monotone & b_ok])), []
 
 
 def _check_coloring(coloring: PairColoring, window, target):
@@ -483,8 +462,8 @@ def _check_family(family: SetFamily, window, target):
 #: Per kind: the report columns, the seeded generator of sampled sweeps,
 #: the check that turns one instance into (row without `instance`, trace
 #: or None), and the chunk kernel of exhaustive sweeps (instance ids [lo,
-#: hi), window, rows wanted, traces wanted -> ok per instance, rows,
-#: traces); every row ends with `ok`.
+#: hi), window, rows wanted, traces wanted -> the columns after `instance`,
+#: the traces of the rows wanted); every row ends with `ok`.
 _KINDS = {
     "coloring": (("instance", "g0", "g1", "size", "color", "direction", "ok"),
                  make_coloring, _check_coloring, _coloring_rows),
@@ -533,26 +512,29 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
             f"exhaustive sweep needs C(n,2) <= {EXHAUSTIVE_PAIR_LIMIT}, got {pair_count(n)}")
 
     columns, make, check, chunk_rows = _KINDS[kind]
-    rows: List[Tuple] = []
+    tails: List[Tuple] = []       # exhaustive: columns per chunk; sampled: rows
     traces: List[str] = []
     failures = 0
     if mode == "exhaustive":
         total = factorial(n) if kind == "order" else 1 << pair_count(n)
         for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            ok, kept, lines = chunk_rows(n, lo, hi, window, max_rows - len(rows), want_traces)
-            failures += hi - lo - int(np.count_nonzero(ok))
-            rows += kept
+            hi, room = min(lo + _CHUNK, total), max(max_rows - lo, 0)
+            tail, lines = chunk_rows(n, lo, hi, window, room, want_traces)
+            failures += hi - lo - int(np.count_nonzero(tail[-1]))
             traces += lines
+            if room:                      # even an empty view would pin the chunk
+                tails.append([column[:room] for column in tail])
+        cells = [np.concatenate(column) for column in zip(*tails)]
     else:
         total = count
         for ident in range(count):
             row, trace = check(make(n, (seed + ident) & _MASK64), window, target)
             failures += not row[-1]
-            if len(rows) < max_rows:
-                rows.append((ident, *row))
+            if len(tails) < max_rows:
+                tails.append(row)
                 if want_traces and trace is not None:
                     traces.append(trace.to_json())
-    return Report(kind=kind, n=n, mode=mode, seed=seed, columns=columns, rows=rows,
-                  count=total, failures=failures, truncated=total > len(rows),
-                  traces=traces)
+        cells = list(zip(*tails))
+    return Report(kind=kind, n=n, mode=mode, seed=seed, columns=columns,
+                  cells=(range(min(total, max_rows)), *(cells or [()] * (len(columns) - 1))),
+                  count=total, failures=failures, truncated=total > max_rows, traces=traces)

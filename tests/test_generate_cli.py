@@ -13,7 +13,7 @@ from epsilon0.generate import (
 )
 from epsilon0.ramsey import SolverTrace, verify_trace
 from epsilon0.ramsey.instances import parse_coloring
-from epsilon0.report import Report, emit, parse_tsv, summarize_rows
+from epsilon0.report import Report, emit, parse_tsv, summarize
 from epsilon0.sweep import sweep
 
 
@@ -70,13 +70,13 @@ def test_summary_matches_tsv_parse_back():
     header, columns, rows = parse_tsv(tsv)
     assert int(header["count"]) == report.count
     assert int(header["failures"]) == report.failures
-    assert summarize_rows(columns, rows) == summarize_rows(report.columns, report.rows)
+    assert summarize(columns, list(zip(*rows))) == summarize(report.columns, report.cells)
     assert len(rows) == report.count
 
 
 def test_summary_aggregates_sum_to_count():
     report = small_report()
-    summary = summarize_rows(report.columns, report.rows)
+    summary = summarize(report.columns, report.cells)
     sizes = {k: v for k, v in summary.items() if k.startswith("size_")}
     assert sum(sizes.values()) == summary["instances"] == report.count
     assert summary["valid"] + summary["invalid"] == report.count
@@ -87,7 +87,7 @@ def test_emit_formats_deterministic():
     for fmt in ("summary", "tsv"):
         assert emit(a, fmt) == emit(b, fmt)
     empty = Report(kind="coloring", n=3, mode="sample", seed=1,
-                   columns=("instance", "ok"), rows=[], count=0, failures=0)
+                   columns=("instance", "ok"), cells=([], []), count=0, failures=0)
     tsv = emit(empty, "tsv")
     assert tsv.splitlines()[-1] == "instance\tok"  # header-only
 

@@ -1,16 +1,21 @@
 """Instance file parsers: round trips, and malformed text that must end in
 ValueError (and, from the CLI, `error: ...` with exit code 1)."""
 
+import hashlib
 import io
+import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_instances as ref
 from epsilon0.cli import format_family, main, parse_family
+from epsilon0.generate import make_coloring, make_tournament
 from epsilon0.ramsey.instances import (
-    LinearOrderInstance, PairColoring, SetFamily, Tournament, format_coloring,
+    LinearOrderInstance, PairColoring, SetFamily, Tournament, _format_bits, format_coloring,
     format_order, format_tournament, pair_count, parse_coloring, parse_order,
     parse_tournament,
 )
@@ -194,3 +199,50 @@ def test_cli_refuses_a_non_ascii_header(tmp_path):
     path.write_text("n=٣\n101\n", encoding="utf-8")
     assert run_cli("ramsey", "solve", str(path)) == (
         1, "", "error: expected 'n=<int>' header, got 'n=٣'\n")
+
+
+# ---------------------------------------------------------------------------
+# the pair-bit line against the per-bit reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 63, 64, 65])
+def test_format_bits_equals_the_per_bit_reference(n):
+    m = pair_count(n)
+    rng = random.Random(n)
+    codes = [0, (1 << m) - 1, 1, 1 << max(m - 1, 0), (1 << m) // 3]
+    codes += [rng.getrandbits(m) for _ in range(40)]
+    codes += [make_coloring(n, seed).bits for seed in range(5) if n]
+    codes += [make_tournament(n, seed).to_bits() for seed in range(5) if n]
+    codes += [-1, -(1 << (m + 5)) + 3, 1 << m, rng.getrandbits(m + 40)]  # only the low m bits count
+    for bits in codes:
+        assert _format_bits(bits, n) == ref._format_bits(bits, n), (n, bits)
+
+
+def test_format_bits_is_linear_in_the_pair_count():
+    bits = random.Random(2000).getrandbits(pair_count(2000))
+    started = time.process_time()
+    line = _format_bits(bits, 2000)
+    assert time.process_time() - started < 0.5
+    assert len(line) == pair_count(2000) and int(line[::-1], 2) == bits
+
+
+#: sha256 of `eps0 generate` (exit code, stdout, stderr) over every kind,
+#: n in (1, 2, 7, 8, 9, 63, 64, 65) and seeds (0, 1, 12345, 2^64 - 1, -1),
+#: pinned from the per-bit `_format_bits`.
+GENERATE_DIGEST = "7a5b68097da503b3d4763b546c747e29c1d3d14a7b1bb5dab8377be9e0be5acc"
+
+
+def test_generate_bytes_equal_the_per_bit_reference():
+    digest = hashlib.sha256()
+    for kind in ("coloring", "tournament", "order", "family"):
+        for n in (1, 2, 7, 8, 9, 63, 64, 65):
+            for seed in (0, 1, 12345, 2**64 - 1, -1):
+                code, out, err = run_cli("generate", "--kind", kind, "--n", str(n),
+                                         "--seed", str(seed))
+                digest.update(f"{code}|{out}|{err}\0".encode())
+                if kind == "coloring":
+                    assert out == f"n={n}\n{ref._format_bits(make_coloring(n, seed).bits, n)}\n"
+                if kind == "tournament":
+                    bits = make_tournament(n, seed).to_bits()
+                    assert out == f"n={n}\n{ref._format_bits(bits, n)}\n"
+    assert digest.hexdigest() == GENERATE_DIGEST
