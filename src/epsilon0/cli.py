@@ -188,9 +188,11 @@ def _cmd_enum(args) -> int:
         return OK
     if args.op == "measure":
         enum, ranks, bound = enum_mod.parse_enumeration_log(_read(args))
+        measures = []
         for s, zeta in enumerate(enum_mod._stage_measures(enum, ranks)):
             print(f"stage={s} zeta={format_ordinal(zeta)}")
-        verdict = enum_mod.zeta_decrease_check(enum, ranks)
+            measures.append(zeta)
+        verdict = enum_mod._decrease_verdict(enum, ranks, measures)
         if verdict.ok:
             print("decrease ok")
             return OK

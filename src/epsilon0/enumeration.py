@@ -354,11 +354,19 @@ def zeta_decrease_check(enum: MonotoneEnumeration, ranks: RankAssignment) -> Zet
     below its parent), then compares the measures of consecutive stages.
     Idle stages are exempt from the decrease requirement.
     """
+    return _decrease_verdict(enum, ranks, _stage_measures(enum, ranks))
+
+
+def _decrease_verdict(enum: MonotoneEnumeration, ranks: RankAssignment,
+                      measures: Iterable[Ordinal]) -> ZetaCheckResult:
+    """`zeta_decrease_check` given the stage measures, which it reads only
+    once the rank precondition holds and no further than the first
+    violation, so `eps0 enum measure` can pass the ones it printed."""
     for s, delta in enumerate(enum.deltas[1:], start=1):
         for node in sorted(delta):
             if compare(ranks.get(node), ranks.get(node[:-1])) != LT:
                 return ZetaCheckResult(False, s, "rank", node)
-    measures = _stage_measures(enum, ranks)
+    measures = iter(measures)
     previous = next(measures)
     for s, (delta, current) in enumerate(zip(enum.deltas[1:], measures), start=1):
         if delta and compare(current, previous) != LT:

@@ -22,7 +22,7 @@ summary).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,25 +78,43 @@ def summarize(columns: Sequence[str], cells: Sequence[Sequence]) -> Dict[str, in
     return out
 
 
-def _row_lines(cells: Sequence[Sequence]) -> List[str]:
-    """The tsv line of every row, newline included: `str(instance)` joined
-    to its tail, each distinct tail formatted once, found by a key per row."""
-    if not cells:
-        return []
-    key, space = np.zeros(len(cells[0]), dtype=np.int64), 1
-    for column in map(np.asarray, cells[1:]):
-        size = 256                                 # uint8 cells stand for themselves
-        if column.dtype != np.uint8:
+def _interned(rows: int, columns: Sequence[Sequence], write: Callable[..., str]) -> List[str]:
+    """`write(*cells)` of each of the `rows` rows of the columns, called
+    once per distinct row and shared by the rows equal to it.  Each column
+    is coded as ints: strings (the two `direction` values) by matching
+    each distinct value in turn, with no string sort; ints in [0, 256)
+    stand for themselves and others are ranked.  The codes join into one
+    int64 key per row, the keys so far renumbered whenever the next column
+    would overflow it."""
+    key, space = np.zeros(rows, dtype=np.int64), 1
+    for column in map(np.asarray, columns):
+        if column.dtype.kind not in "biu":
+            codes = np.full(rows, -1)
+            while (codes < 0).any():
+                codes[column == column[codes.argmin()]] = codes.max() + 1
+            column = codes
+        if len(column) and 0 <= column.min() and column.max() < 256:
+            size = int(column.max()) + 1
+        else:
             values, column = np.unique(column, return_inverse=True)
             size = len(values)
-        if space * size >= 1 << 62:                # renumber the keys seen so far
+        if space * size >= 1 << 62:
             values, key = np.unique(key, return_inverse=True)
             space = len(values)
         key, space = key * size + column, space * size
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    tails = np.array(["".join(f"\t{column[i]}" for column in cells[1:]) + "\n"
-                      for i in first.tolist()], dtype=object)
-    return [f"{instance}{tail}" for instance, tail in zip(cells[0], tails[inverse].tolist())]
+    cells = [np.asarray(column)[first].tolist() for column in columns]
+    texts = [write(*(column[i] for column in cells)) for i in range(len(first))]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _row_lines(cells: Sequence[Sequence]) -> List[str]:
+    """The tsv line of every row, newline included: `str(instance)` joined
+    to its tail, each distinct tail formatted once."""
+    if not cells:
+        return []
+    tails = _interned(len(cells[0]), cells[1:], ("\t{}" * (len(cells) - 1) + "\n").format)
+    return [f"{instance}{tail}" for instance, tail in zip(cells[0], tails)]
 
 
 def _emit_summary(report: Report) -> str:

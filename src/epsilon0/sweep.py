@@ -4,36 +4,28 @@ instances and aggregate the outcomes into a Report.
 Exhaustive sweeps enumerate instance codes in increasing order (colorings
 and tournaments: the packed pair bits; orders: permutations in
 lexicographic order).  Sampled sweeps draw instance i from the documented
-generator with seed (base_seed + i) mod 2^64.  The report keeps its cells
-by column: the kernels' column arrays, or the sampled row tuples
-transposed once.  Rows (and coloring traces) beyond `max_rows` are cut
-from the report but still counted, keeping memory flat on large sweeps.
+generator with seed (base_seed + i) mod 2^64 and run the scalar solvers,
+checkers and `to_json`, the reference the kernels are tested against.
+The report keeps its cells by column.  Rows (and coloring traces) beyond
+`max_rows` are cut from the report but still counted.
 
 Every exhaustive sweep runs as numpy passes over chunks of _CHUNK
-instances, all instances of a chunk stepping through the vertices
-together on uint8 masks (n <= 8 is all that EXHAUSTIVE_PAIR_LIMIT
-admits); no scalar solver, checker or trace encoder runs per instance.
+instances stepping through the vertices together on uint8 masks (n <= 8
+is all that EXHAUSTIVE_PAIR_LIMIT admits); nothing scalar runs per code.
 
 * Tournaments: one out-mask per vertex and code, and EM's two passes.
-  Besides the EM result the kernel checks the classical
-  transitive-subtournament bound floor(log2 n) + 1 on every code, by a
-  rule per bound (a subset of a transitive set is transitive, so
-  "maximum >= k" and "some k-subset is transitive" agree): bound <= 2
-  needs n >= bound; bound 3 (n = 4..7) some vertex that beats two others;
+  The transitive bound floor(log2 n) + 1 is checked by a rule per bound:
+  bound <= 2 needs n >= bound; bound 3 some vertex that beats two others;
   bound 4 (n = 8) some two vertices that both beat the same two others.
-* Colorings: `_coloring_chunk` is rt22_solve per code (coh, the window,
-  EM over G0, the L-rank and the patience piles).  The `ok` column comes
-  from `_verify_coloring_chunk`, which re-derives verify_trace's first
-  failing stage from the pair bits and the kernel's output and shares no
-  helper with the kernel.  Trace lines are written from the arrays,
-  byte-identical to SolverTrace.to_json, for the rows kept only.
-* Orders: the same patience kernel over the permutations in
-  itertools.permutations order, with the `monotone` column checked
-  against each permutation on its own.
-
-Sampled sweeps run the scalar solvers, checkers and `to_json` per
-instance, and those scalar functions are the reference that the kernels
-are tested against.
+* Colorings: `_coloring_chunk` is rt22_solve per code, and the `ok`
+  column comes from `_verify_coloring_chunk`, which re-derives
+  verify_trace's first failing stage and shares no helper with the
+  kernel.  Trace lines are written once per distinct trace of the rows
+  kept, byte-identical to SolverTrace.to_json, and shared.
+* Orders and the last stage of colorings: the longest monotone run, by
+  patience piles run as an automaton on the set of pile tops (keys are
+  distinct and below n, so the tops are an n-bit mask) with one chain
+  mask per key; the order sweep checks its `monotone` column on its own.
 """
 
 from __future__ import annotations
@@ -64,7 +56,7 @@ from .ramsey.solvers import (
     rt22_solve,
     verify_trace,
 )
-from .report import Report
+from .report import Report, _interned
 
 __all__ = ["sweep", "transitive_bound", "ascdesc_bound", "verify_cohesive",
            "exhaustive_triple_ok", "EXHAUSTIVE_PAIR_LIMIT"]
@@ -199,31 +191,29 @@ def exhaustive_triple_ok(n: int) -> np.ndarray:
 
 
 def _patience(keys: np.ndarray, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """`_patience_lis` on every row of a codes x positions int8 key array at
-    once, over the positions where `active` holds (their keys distinct):
-    returns (length, mask of the positions of the chain) per row.  Pile
-    tops are padded with 127, above every key; a pointer of -1 reads the
-    padding column."""
+    """`_patience_lis` on every row of a codes x positions key array at
+    once, over the positions where `active` holds (their keys distinct and
+    in [0, n) for n positions): returns (length, mask of the positions of
+    the chain) per row.  The piles run as an automaton on their set of
+    tops, an n-bit mask: a state is the mask times n + 1, and state + key
+    indexes `step`, the next state (the least top >= key gives way to
+    key), and `below`, one more than the highest top under key (0 if
+    none); key n, at inactive positions, keeps the state.  A row keeps the
+    chain of each top t in slot t + 1 of `chains`, slot 0 staying empty."""
     m, n = keys.shape
-    rows = np.arange(m)
-    tops = np.full((m, n + 1), 127, dtype=np.int8)
-    top_at = np.full((m, n + 1), -1, dtype=np.int8)    # position on each pile's top
-    back = np.full((m, n + 1), -1, dtype=np.int8)
-    length = np.zeros(m, dtype=np.intp)
-    for i in range(n):
-        key, act = keys[:, i], active[:, i]
-        pos = np.count_nonzero(tops < key[:, None], axis=1)    # bisect_left
-        back[:, i] = np.where(act, top_at[rows, pos - 1], -1)
-        tops[rows, pos] = np.where(act, key, tops[rows, pos])
-        top_at[rows, pos] = np.where(act, i, top_at[rows, pos])
-        length = np.where(act, np.maximum(length, pos + 1), length)
-    bit = np.array([1 << i for i in range(n)] + [0], dtype=np.uint8)
-    chain = np.zeros(m, dtype=np.uint8)
-    at = top_at[rows, length - 1]
-    for _ in range(n):
-        chain |= bit[at]
-        at = back[rows, at]
-    return length, chain
+    tops, key = np.ogrid[:1 << n, :n + 1]
+    above = tops & -(1 << key)
+    step = np.where(key < n, tops ^ above & -above | 1 << key, tops).ravel() * (n + 1)
+    below = np.frexp(tops ^ above)[1].ravel()             # the bit length
+    keys = np.ascontiguousarray(np.where(active, keys, n).T, dtype=np.intp)
+    base = np.arange(0, m * (n + 2), n + 2)
+    chains = np.zeros(m * (n + 2), dtype=np.uint8)
+    state = np.zeros(m, dtype=np.intp)
+    for i, k in enumerate(keys):
+        at = state + k
+        chains[base + k + 1] = chains.take(base + below.take(at)) | np.uint8(1 << i)
+        state = step.take(at)
+    return _POPCOUNT.take(state // (n + 1)), chains.take(base + below.take(state + n))
 
 
 def _longest_monotone(keys: np.ndarray, active: np.ndarray
@@ -232,7 +222,7 @@ def _longest_monotone(keys: np.ndarray, active: np.ndarray
     mask) of the longer of the longest ascending and descending runs,
     ties to ascending."""
     up_len, up = _patience(keys, active)
-    down_len, down = _patience(-keys, active)
+    down_len, down = _patience(keys.shape[1] - 1 - keys, active)
     ascending = up_len >= down_len
     return ascending, np.where(ascending, up_len, down_len), np.where(ascending, up, down)
 
@@ -301,7 +291,7 @@ def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _Colori
 
     members = ((g1[:, None] >> np.arange(n, dtype=np.uint8)) & 1).astype(bool)
     rank = _POPCOUNT.take(g1 & ~out).astype(np.int8) - 1      # G1 vertices beating x
-    ascending, _, h = _longest_monotone(np.ascontiguousarray(rank.T), members)
+    ascending, _, h = _longest_monotone(rank.T, members)
     rest = h & (h - np.uint8(1))
     first = out[_low_index(h, 0), np.arange(len(codes))]
     color = np.where(rest != 0, (first >> _low_index(rest, 0)) & 1, 0).astype(np.uint8)
@@ -354,28 +344,20 @@ _SUBSET_TEXT = tuple("[" + ",".join(str(x) for x in range(8) if (mask >> x) & 1)
 
 def _trace_lines(n: int, chunk: _ColoringChunk, kept: slice) -> List[str]:
     """SolverTrace.to_json of the codes `kept` of a chunk, written
-    straight from the arrays: one f-string per code over lookup tables of
-    vertex sets and sides, and memoised thresholds and steps."""
-    sides_text = ["[" + ",".join(str((mask >> x) & 1) for x in range(n)) + "]"
-                  for mask in range(1 << n)]
-    thr_keys = sum(chunk.thresholds[x, kept].astype(np.uint32) << np.uint32(4 * x)
-                   for x in range(n))
-    thr_text = {key: "[" + ",".join(str((key >> 4 * x) & 15) for x in range(n)) + "]"
-                for key in set(thr_keys.tolist())}
-    step_keys = chunk.steps[kept].astype(np.uint16) | chunk.step_sides[kept].astype(np.uint16) << 8
-    step_text = {key: "[" + ",".join(f"[{x},{(key >> (8 + x)) & 1}]"
-                                     for x in range(n) if (key >> x) & 1) + "]"
-                 for key in set(step_keys.tolist())}
-    text = _SUBSET_TEXT
-    return [f'{{"cohesive_set":{text[g0]},"cohesive_sides":{sides_text[sides]},'
-            f'"cohesive_thresholds":{thr_text[thr]},"final_color":{color},'
-            f'"final_set":{text[h]},"monotone_direction":"{_DIRECTIONS[up]}",'
-            f'"monotone_set":{text[h]},"n":{n},"transitive_set":{text[g1]},'
-            f'"transitive_steps":{step_text[steps]},"window":{w0}}}'
-            for g0, sides, thr, color, h, up, g1, steps, w0 in zip(
-                *(a[kept].tolist() for a in (chunk.g0, chunk.sides)), thr_keys.tolist(),
-                *(a[kept].tolist() for a in (chunk.color, chunk.h, chunk.ascending, chunk.g1)),
-                step_keys.tolist(), chunk.window[kept].tolist())]
+    straight from the arrays: one f-string per distinct trace (637 among
+    the 32,768 codes of n = 6), shared by every code that has it."""
+    def write(*fields):                           # in _ColoringChunk's order
+        g0, sides, *thr, w0, steps, step_sides, g1, up, h, color = fields
+        sides_text = ",".join(str(sides >> x & 1) for x in range(n))
+        steps_text = ",".join(f"[{x},{step_sides >> x & 1}]" for x in range(n) if steps >> x & 1)
+        return (f'{{"cohesive_set":{_SUBSET_TEXT[g0]},"cohesive_sides":[{sides_text}],'
+                f'"cohesive_thresholds":[{",".join(map(str, thr))}],"final_color":{color},'
+                f'"final_set":{_SUBSET_TEXT[h]},"monotone_direction":"{_DIRECTIONS[up]}",'
+                f'"monotone_set":{_SUBSET_TEXT[h]},"n":{n},"transitive_set":{_SUBSET_TEXT[g1]},'
+                f'"transitive_steps":[{steps_text}],"window":{w0}}}')
+
+    fields = [row for field in chunk for row in np.atleast_2d(field[..., kept])]
+    return _interned(len(fields[0]), fields, write)
 
 
 def _coloring_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,

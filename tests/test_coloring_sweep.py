@@ -3,7 +3,10 @@ reference.
 
 `_coloring_chunk` runs rt22_solve over an array of pair codes at once,
 `_verify_coloring_chunk` re-checks its output, and `_trace_lines` writes
-the trace lines straight from the arrays.  Rows and lines are compared per
+the trace lines straight from the arrays.  The pile-tops automaton
+`_patience` and the interned `_trace_lines` are compared with the kernels
+they replaced, kept verbatim in tests/reference_sweep.py.  Rows and lines
+are compared per
 code with `_check_coloring` (scalar `rt22_solve`, `verify_trace` and
 `SolverTrace.to_json`), and the order kernel with `_check_order` (scalar
 `ads_solve`).  The verifier is mutation-checked: each stage of the kernel
@@ -21,6 +24,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import reference_sweep as ref
+
 from epsilon0.cli import main
 from epsilon0.ramsey import LinearOrderInstance, PairColoring
 from epsilon0.ramsey.instances import pair_count
@@ -28,7 +33,7 @@ from epsilon0.ramsey.solvers import SolverTrace, rt22_solve, verify_trace
 from epsilon0.report import emit
 from epsilon0.sweep import (
     _STAGES, _check_coloring, _check_order, _coloring_chunk, _coloring_rows,
-    _longest_monotone, _monotone_runs, _order_rows, _trace_lines,
+    _longest_monotone, _monotone_runs, _order_rows, _patience, _trace_lines,
     _verify_coloring_chunk, sweep,
 )
 
@@ -74,6 +79,60 @@ def test_coloring_kernel_matches_the_reference_on_seeded_codes(n, count, seed):
         lines = _trace_lines(n, chunk, slice(None))
         for code, line in zip(codes.tolist(), lines):
             assert line == rt22_solve(PairColoring(n, code), window).to_json(), (n, code)
+
+
+def _assert_piles_match_the_reference(keys, active):
+    n = keys.shape[1]
+    for mine, theirs in ((keys, keys), (n - 1 - keys, -keys)):
+        length, chain = _patience(mine, active)
+        want_length, want_chain = ref._patience(theirs, active)
+        assert length.tolist() == want_length.tolist()
+        assert chain.tolist() == want_chain.tolist()
+    up_len, up = ref._patience(keys, active)
+    down_len, down = ref._patience(-keys, active)
+    ascending, length, chain = _longest_monotone(keys, active)
+    assert ascending.tolist() == (up_len >= down_len).tolist()
+    assert length.tolist() == np.maximum(up_len, down_len).tolist()
+    assert chain.tolist() == np.where(up_len >= down_len, up, down).tolist()
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_the_pile_automaton_matches_the_reference_on_every_permutation(n):
+    perms = list(itertools.permutations(range(n)))
+    perms = np.array(perms, dtype=np.int8).reshape(len(perms), n)
+    _assert_piles_match_the_reference(perms, np.ones(perms.shape, dtype=bool))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_the_pile_automaton_matches_the_reference_on_seeded_active_masks(n):
+    rng = np.random.default_rng(100 + n)
+    keys = np.argsort(rng.random((3000, n)), axis=1).astype(np.int8)
+    active = rng.random(keys.shape) < 0.6
+    _assert_piles_match_the_reference(keys, active)
+    # inactive positions may hold any rank, even one outside [0, n)
+    noisy = np.where(active, keys, rng.integers(-1, n + 1, keys.shape)).astype(np.int8)
+    assert [a.tolist() for a in _patience(noisy, active)] == [
+        a.tolist() for a in _patience(keys, active)]
+
+
+def test_the_pile_automaton_on_no_rows_no_positions_and_one_position():
+    for m, n in ((0, 0), (0, 5), (4, 0)):
+        length, chain = _patience(np.zeros((m, n), dtype=np.int8), np.ones((m, n), dtype=bool))
+        assert length.tolist() == [0] * m and chain.tolist() == [0] * m
+    keys = np.zeros((2, 1), dtype=np.int8)
+    length, chain = _patience(keys, np.array([[True], [False]]))
+    assert length.tolist() == [1, 0] and chain.tolist() == [1, 0]
+    _assert_piles_match_the_reference(keys, np.array([[True], [False]]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interned_trace_lines_match_the_per_row_reference(n):
+    codes = np.arange(1 << pair_count(n), dtype=np.uint32)
+    for window in (None, 0, 2):
+        chunk = _coloring_chunk(n, codes, window)
+        for kept in (slice(0), slice(1), slice(100), slice(None)):
+            assert _trace_lines(n, chunk, kept) == ref._trace_lines(n, chunk, kept), (
+                window, kept)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -165,6 +224,7 @@ def test_the_verifier_flags_the_same_first_stage_as_verify_trace(n, codes):
     for name, corrupted in _corruptions(n, chunk):
         got = _verify_coloring_chunk(n, codes, corrupted)
         lines = _trace_lines(n, corrupted, slice(None))
+        assert lines == ref._trace_lines(n, corrupted, slice(None)), name
         for code, stage, line in zip(codes.tolist(), got.tolist(), lines):
             want = _stage_of(verify_trace(SolverTrace.from_json(line), PairColoring(n, code)))
             assert stage == want, (name, n, code, line)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epsilon0.cli
+import epsilon0.enumeration
 from epsilon0.cli import main
 from epsilon0.enumeration import (
     MonotoneEnumeration, RankAssignment, format_enumeration_log, step,
@@ -132,6 +133,29 @@ ROOT_TO_TWO_LEAVES = "root rank=3\nstage 1\nadd 0 rank=2\nadd 1 rank=2\n"
 def test_enum_measure_matches_the_per_snapshot_command_on_each_case(text, expected):
     got, want = measure_both_ways(text)
     assert got == want == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    (ROOT_TO_TWO_LEAVES + "stage 2\nadd 1.0 rank=0\n",
+     (0, "stage=0 zeta=w^(3)\nstage=1 zeta=w^(2)*2\nstage=2 zeta=w^(2) + 1\ndecrease ok\n", "")),
+    (ROOT_TO_TWO_LEAVES + "stage 2\nadd 0.0 rank=2\n",
+     (1, "stage=0 zeta=w^(3)\nstage=1 zeta=w^(2)*2\nstage=2 zeta=w^(2)*2\n"
+         "violation stage=2 kind=rank\n", "")),
+    (ROOT_TO_TWO_LEAVES + "stage 2\nadd 0.0\n",
+     (1, "stage=0 zeta=w^(3)\nstage=1 zeta=w^(2)*2\n", "error: no rank for node (0, 0)\n")),
+])
+def test_enum_measure_measures_the_stages_in_one_pass(text, expected):
+    passes = []
+    stage_measures = epsilon0.enumeration._stage_measures
+
+    def counted(enum, ranks):
+        passes.append(1)
+        return stage_measures(enum, ranks)
+
+    with mock.patch.object(epsilon0.enumeration, "_stage_measures", counted):
+        got, want = measure_both_ways(text)
+    assert got == want == expected
+    assert len(passes) == 1
 
 
 # ---------------------------------------------------------------------------

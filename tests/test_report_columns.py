@@ -12,7 +12,7 @@ import pytest
 
 import epsilon0
 import reference_report as ref
-from epsilon0.report import FORMATS, Report, emit
+from epsilon0.report import FORMATS, Report, _interned, emit
 from epsilon0.sweep import sweep
 
 UNBOUNDED = 1 << 62
@@ -78,6 +78,38 @@ def test_many_wide_and_mixed_columns_equal_the_reference():
     report = Report(kind="coloring", n=5, mode="sample", seed=1, columns=columns,
                     cells=cells, count=count + 5, failures=2, truncated=True)
     assert_emit_equals_the_reference(report)
+
+
+def test_interned_rows_renumber_keys_that_would_overflow():
+    # Nine columns of values up to 255 span 2^72 keys, past an int64, so
+    # the keys are renumbered on the way; a string column is matched by
+    # equality and wide ints by a sort.
+    rng = np.random.default_rng(17)
+    count = 2000
+    columns = [rng.integers(0, 256, count).astype(np.uint8) for _ in range(9)]
+    columns += [rng.choice(["ascending", "descending"], count),
+                rng.choice([-(1 << 61), 7, 1 << 61], count), rng.integers(0, 2, count) == 1]
+    written = []
+
+    def write(*row):
+        written.append(row)
+        return repr(row)
+
+    rows = list(zip(*(column.tolist() for column in columns)))
+    assert _interned(count, columns, write) == [repr(row) for row in rows]
+    assert sorted(written) == sorted(set(rows))
+    cells = (range(count), *columns)
+    report = Report(kind="order", n=5, mode="sample", seed=1,
+                    columns=("instance", *(f"c{i}" for i in range(12))), cells=cells,
+                    count=count, failures=0)
+    assert_emit_equals_the_reference(report)
+
+
+def test_interned_rows_share_one_string_per_distinct_row():
+    columns = [np.array([3, 1, 3, 3], dtype=np.uint8), np.array(["a", "b", "a", "a"])]
+    lines = _interned(4, columns, lambda *row: "".join(map(str, row)))
+    assert lines == ["3a", "1b", "3a", "3a"]
+    assert lines[0] is lines[2] is lines[3]
 
 
 SWEEP_SCRIPT = """
