@@ -8,8 +8,9 @@ wall-clock never appears in them (callers print it to stderr if they want
 it).  Three formats:
 
 * tsv: `# key<TAB>value` header lines, a column-name line, then one row
-  per instance, each distinct row tail (the cells after `instance`)
-  formatted once (possibly capped, with a trailing `# truncated` marker);
+  per instance (possibly capped, with a trailing `# truncated` marker),
+  written as one byte block: each distinct row tail (the cells after
+  `instance`) formatted and encoded once, the instance digits in numpy;
 * summary: the aggregates, one `key=value` per line;
 * trace: one JSON document per instance for runs that produce replayable
   solver traces.
@@ -38,7 +39,8 @@ class Report:
     mode: str                      # "exhaustive" or "sample"
     seed: Optional[int]
     columns: Tuple[str, ...]
-    cells: Tuple[Sequence, ...]    # one per column, ints or strings, rows kept only
+    cells: Tuple[Sequence, ...]    # one per column, ints or strings, rows kept only;
+                                   # `instance` ids are ints >= 0 (else tsv: ValueError)
     count: int                     # instances run (rows may be capped)
     failures: int
     truncated: bool = False
@@ -78,43 +80,85 @@ def summarize(columns: Sequence[str], cells: Sequence[Sequence]) -> Dict[str, in
     return out
 
 
-def _interned(rows: int, columns: Sequence[Sequence], write: Callable[..., str]) -> List[str]:
-    """`write(*cells)` of each of the `rows` rows of the columns, called
-    once per distinct row and shared by the rows equal to it.  Each column
-    is coded as ints: strings (the two `direction` values) by matching
-    each distinct value in turn, with no string sort; ints in [0, 256)
-    stand for themselves and others are ranked.  The codes join into one
-    int64 key per row, the keys so far renumbered whenever the next column
-    would overflow it."""
-    key, space = np.zeros(rows, dtype=np.int64), 1
+def _dense(key: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
+    """(the keys in [0, space) renumbered in order to [0, distinct), distinct),
+    by marks in a bool array of `space` entries and their running count."""
+    present = np.zeros(space, dtype=bool)
+    present[key] = True
+    rank = np.cumsum(present) - 1
+    return rank[key], int(rank[-1]) + 1
+
+
+def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
+              ) -> Tuple[List[str], np.ndarray]:
+    """`write(*cells)` of each distinct row of the columns, from any one row
+    of it, and the index of every row's text.  Each column is coded as
+    ints: strings (the two `direction` values) by matching each distinct
+    value in turn, with no string sort; ints in [0, 256) stand for
+    themselves and others are ranked by `np.unique`.  The codes join into
+    one key per row, renumbered by `_dense` whenever the key space would
+    pass a small multiple of `rows` (by a sort if even that is too small)."""
+    if not rows:
+        return [], np.zeros(0, dtype=np.intp)
+    key, space, limit = np.zeros(rows, dtype=np.intp), 1, 8 * rows + 256
     for column in map(np.asarray, columns):
         if column.dtype.kind not in "biu":
             codes = np.full(rows, -1)
             while (codes < 0).any():
                 codes[column == column[codes.argmin()]] = codes.max() + 1
             column = codes
-        if len(column) and 0 <= column.min() and column.max() < 256:
+        if 0 <= column.min() and column.max() < 256:
             size = int(column.max()) + 1
         else:
             values, column = np.unique(column, return_inverse=True)
             size = len(values)
-        if space * size >= 1 << 62:
+        if space * size > limit:
+            key, space = _dense(key, space)
+        key, space = key * size + column, space * size
+        if space > limit:
             values, key = np.unique(key, return_inverse=True)
             space = len(values)
-        key, space = key * size + column, space * size
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    inverse, distinct = _dense(key, space)
+    first = np.empty(distinct, dtype=np.intp)
+    first[inverse] = np.arange(rows)
     cells = [np.asarray(column)[first].tolist() for column in columns]
-    texts = [write(*(column[i] for column in cells)) for i in range(len(first))]
+    return [write(*(column[i] for column in cells)) for i in range(distinct)], inverse
+
+
+def _interned(rows: int, columns: Sequence[Sequence], write: Callable[..., str]) -> List[str]:
+    """`write(*cells)` of every row, one string per distinct row (`_distinct`)."""
+    texts, inverse = _distinct(rows, columns, write)
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _row_lines(cells: Sequence[Sequence]) -> List[str]:
-    """The tsv line of every row, newline included: `str(instance)` joined
-    to its tail, each distinct tail formatted once."""
-    if not cells:
-        return []
-    tails = _interned(len(cells[0]), cells[1:], ("\t{}" * (len(cells) - 1) + "\n").format)
-    return [f"{instance}{tail}" for instance, tail in zip(cells[0], tails)]
+def _row_text(cells: Sequence[Sequence]) -> str:
+    """The tsv lines of every row as one string: a uint8 block of rows x
+    (digits + width) holds the decimal digits of each instance id, then its
+    tail (`\t`-led cells after `instance`, `\n`-ended) from a zero-padded
+    table of the distinct tails' bytes; a mask of the same shape keeps the
+    significant digits and each tail's true length, decoded once."""
+    rows, ids = len(cells[0]), cells[0]
+    if not rows:
+        return ""
+    ids = np.arange(ids.start, ids.stop, ids.step) if isinstance(ids, range) else np.asarray(ids)
+    if ids.dtype.kind in "iu":
+        ids = ids.astype(np.int64)                # past 2^63 reads as negative
+    if ids.dtype != np.int64 or ids.min() < 0:
+        raise ValueError("instance ids must be non-negative ints")
+    texts, inverse = _distinct(rows, cells[1:], ("\t{}" * (len(cells) - 1) + "\n").format)
+    encoded = [text.encode() for text in texts]
+    table = np.array(encoded).view(np.uint8).reshape(len(encoded), -1)    # NUL-padded
+    digits, width = len(str(ids.max())), table.shape[1]
+    tails = np.arange(width) < np.array([len(text) for text in encoded])[:, None]
+    block = np.empty((rows, digits + width), dtype=np.uint8)
+    keep = np.empty(block.shape, dtype=bool)
+    for out, source in ((block, table), (keep, tails)):     # one `width`-byte item per row
+        out[:, digits:].view(f"V{width}")[:, 0] = source.view(f"V{width}")[inverse, 0]
+    for j in reversed(range(digits)):             # the last digit first
+        block[:, j], keep[:, j] = ids % 10 + 48, ids != 0
+        ids = ids // 10
+    keep[:, digits - 1] = True                    # 0 is one digit
+    return block[keep].tobytes().decode()
 
 
 def _emit_summary(report: Report) -> str:
@@ -128,8 +172,7 @@ def _emit_summary(report: Report) -> str:
 
 def _emit_tsv(report: Report) -> str:
     lines = [f"# {k}\t{v}\n" for k, v in report.config_items()]
-    lines.append("\t".join(report.columns) + "\n")
-    lines += _row_lines(report.cells)
+    lines += ["\t".join(report.columns) + "\n", _row_text(report.cells)]
     if report.truncated:
         lines.append("# truncated\n")
     return "".join(lines)

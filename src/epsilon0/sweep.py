@@ -394,14 +394,22 @@ def _monotone_runs(ranks: np.ndarray, chain: np.ndarray, ascending: np.ndarray) 
     return ok
 
 
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of range(n) in `itertools.permutations` order, as
+    int8 rows: for each first value f, f before those of range(n - 1)
+    shifted past f."""
+    block = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n + 1):
+        block = np.vstack([np.insert(block + (block >= f), 0, f, axis=1) for f in range(m)])
+    return block
+
+
 def _order_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
                 want_traces: bool) -> Tuple[Tuple[np.ndarray, ...], List[str]]:
     """The exhaustive order sweep over the permutations [lo, hi) in
     `itertools.permutations` order: ads_solve's sequence per ranking, its
     monotonicity checked against the ranking and the ceil(sqrt(n)) bound."""
-    ranks = np.fromiter(itertools.chain.from_iterable(
-        itertools.islice(itertools.permutations(range(n)), lo, hi)),
-        dtype=np.int8, count=(hi - lo) * n).reshape(hi - lo, n)
+    ranks = _permutations(n)[lo:hi]
     ascending, size, chain = _longest_monotone(ranks, np.ones(ranks.shape, dtype=bool))
     monotone = _monotone_runs(ranks, chain, ascending)
     b_ok = size >= ascdesc_bound(n)

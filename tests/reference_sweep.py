@@ -1,10 +1,13 @@
-"""The exhaustive-sweep kernels as they ran before the pile-tops automaton
-and the interned trace lines, kept verbatim as the reference for
-`epsilon0.sweep._patience` and `epsilon0.sweep._trace_lines`:
+"""The exhaustive-sweep kernels as they ran before the pile-tops automaton,
+the interned trace lines and the block-built permutations, kept verbatim
+as the reference for `epsilon0.sweep._patience`,
+`epsilon0.sweep._trace_lines` and `epsilon0.sweep._permutations`:
 `_patience` finds each pile by a count over a codes x piles array of
-tops and walks back pointers, and `_trace_lines` writes one f-string per
-code."""
+tops and walks back pointers, `_trace_lines` writes one f-string per
+code, and `_order_ranks` reads the permutations [lo, hi) one value at a
+time from `itertools.permutations`."""
 
+import itertools
 from typing import List, Tuple
 
 import numpy as np
@@ -64,3 +67,11 @@ def _trace_lines(n: int, chunk: _ColoringChunk, kept: slice) -> List[str]:
                 *(a[kept].tolist() for a in (chunk.g0, chunk.sides)), thr_keys.tolist(),
                 *(a[kept].tolist() for a in (chunk.color, chunk.h, chunk.ascending, chunk.g1)),
                 step_keys.tolist(), chunk.window[kept].tolist())]
+
+
+def _order_ranks(n: int, lo: int, hi: int) -> np.ndarray:
+    """The rankings of `_order_rows` over the permutations [lo, hi)."""
+    ranks = np.fromiter(itertools.chain.from_iterable(
+        itertools.islice(itertools.permutations(range(n)), lo, hi)),
+        dtype=np.int8, count=(hi - lo) * n).reshape(hi - lo, n)
+    return ranks
