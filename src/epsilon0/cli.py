@@ -20,6 +20,7 @@ from . import descent as descent_mod
 from . import enumeration as enum_mod
 from .generate import KINDS, generate
 from .ordinal import (
+    _format,
     compare,
     decode,
     encode,
@@ -188,9 +189,9 @@ def _cmd_enum(args) -> int:
         return OK
     if args.op == "measure":
         enum, ranks, bound = enum_mod.parse_enumeration_log(_read(args))
-        measures = []
+        measures, memo = [], {}
         for s, zeta in enumerate(enum_mod._stage_measures(enum, ranks)):
-            print(f"stage={s} zeta={format_ordinal(zeta)}")
+            print(f"stage={s} zeta={_format(zeta, memo)}")
             measures.append(zeta)
         verdict = enum_mod._decrease_verdict(enum, ranks, measures)
         if verdict.ok:

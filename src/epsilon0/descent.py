@@ -14,7 +14,8 @@ Log file format (one log per file)::
     t=<int> e=<int> v=<ordinal>
     ...
 
-using the ordinal text grammar from `epsilon0.ordinal`.
+using the ordinal text grammar from `epsilon0.ordinal`, one text memo per
+log or trace: its values share the bound's few large exponents.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from .ordinal import (
     LT,
     Ordinal,
     OrdinalOverflowError,
+    _format,
     _nat_sum,
+    _parse,
     compare,
     format_ordinal,
     nat_add,
     nat_mul_k,
-    parse_ordinal,
 )
 
 __all__ = [
@@ -176,27 +178,29 @@ def parse_event_log(text: str) -> StreamEventLog:
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise MalformedLogError(f"bad header: {lines[0]!r}")
-    events = []
+    events, memo = [], {}
     for ln in lines[1:]:
         match = _EVENT_RE.match(ln)
         if match is None:
             raise MalformedLogError(f"bad event line: {ln!r}")
         events.append(StreamEvent(int(match.group(1)), int(match.group(2)),
-                                  parse_ordinal(match.group(3))))
-    return StreamEventLog(k=int(header.group(1)), bound=parse_ordinal(header.group(2)),
+                                  _parse(match.group(3), memo)))
+    return StreamEventLog(k=int(header.group(1)), bound=_parse(header.group(2), memo),
                           events=tuple(events))
 
 
 def format_event_log(log: StreamEventLog) -> str:
-    lines = [f"k={log.k} bound={format_ordinal(log.bound)}"]
-    lines.extend(f"t={ev.time} e={ev.stream} v={format_ordinal(ev.value)}"
+    memo = {}
+    lines = [f"k={log.k} bound={_format(log.bound, memo)}"]
+    lines.extend(f"t={ev.time} e={ev.stream} v={_format(ev.value, memo)}"
                  for ev in log.events)
     return "\n".join(lines) + "\n"
 
 
 def format_descent_trace(trace: DescentTrace) -> str:
-    lines = [f"bound={format_ordinal(trace.bound)}"]
-    lines.extend(format_ordinal(v) for v in trace.values)
+    memo = {}
+    lines = [f"bound={_format(trace.bound, memo)}"]
+    lines.extend(_format(v, memo) for v in trace.values)
     return "\n".join(lines) + "\n"
 
 
@@ -204,5 +208,6 @@ def parse_descent_trace(text: str) -> DescentTrace:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("bound="):
         raise ValueError("descent trace must start with a bound= line")
-    bound = parse_ordinal(lines[0][len("bound="):])
-    return DescentTrace(bound=bound, values=tuple(parse_ordinal(ln) for ln in lines[1:]))
+    memo = {}
+    bound = _parse(lines[0][len("bound="):], memo)
+    return DescentTrace(bound=bound, values=tuple(_parse(ln, memo) for ln in lines[1:]))

@@ -28,7 +28,7 @@ Enumeration log format (see README)::
     ...
 
 Stage numbers must increase; stage 0 is implicit (the root) and may only
-carry the root rank line.
+carry the root rank line.  A log is read and written with one text memo.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from .ordinal import (
     LT,
     OMEGA,
     Ordinal,
+    _format,
     _nat_sum,
+    _parse,
     compare,
-    format_ordinal,
     from_int,
     omega_pow,
-    parse_ordinal,
 )
 
 Node = Tuple[int, ...]
@@ -451,15 +451,16 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
     bound = OMEGA
     pending: Optional[List[Node]] = None
     expected_stage = 1
+    memo: Dict[str, Ordinal] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         keyword = line.split(maxsplit=1)[0].split("=", 1)[0]
         if keyword == "bound":
-            bound = parse_ordinal(_line_fields(keyword, line, lineno)[0])
+            bound = _parse(_line_fields(keyword, line, lineno)[0], memo)
         elif keyword == "root":
-            ranks[ROOT] = parse_ordinal(_line_fields(keyword, line, lineno)[0])
+            ranks[ROOT] = _parse(_line_fields(keyword, line, lineno)[0], memo)
         elif keyword == "stage":
             if pending is not None:
                 result = step(enum, pending)
@@ -478,7 +479,7 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
             node = parse_node(node_text)
             pending.append(node)
             if rank_text is not None:
-                ranks[node] = parse_ordinal(rank_text)
+                ranks[node] = _parse(rank_text, memo)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if pending is not None:
@@ -491,18 +492,18 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
 
 def format_enumeration_log(enum: MonotoneEnumeration,
                            ranks: Optional[RankAssignment] = None) -> str:
-    lines = []
+    lines, memo = [], {}
     if ranks is not None:
-        lines.append(f"bound={format_ordinal(ranks.bound)}")
+        lines.append(f"bound={_format(ranks.bound, memo)}")
         if ROOT in ranks.rank:
-            lines.append(f"root rank={format_ordinal(ranks.rank[ROOT])}")
+            lines.append(f"root rank={_format(ranks.rank[ROOT], memo)}")
     for s, delta in enumerate(enum.deltas):
         if s == 0:
             continue
         lines.append(f"stage {s}")
         for node in sorted(delta):
             if ranks is not None and node in ranks.rank:
-                lines.append(f"add {format_node(node)} rank={format_ordinal(ranks.rank[node])}")
+                lines.append(f"add {format_node(node)} rank={_format(ranks.rank[node], memo)}")
             else:
                 lines.append(f"add {format_node(node)}")
     return "\n".join(lines) + "\n"

@@ -36,9 +36,10 @@ term passes MAX_CODE_BITS bits.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 from math import isqrt, log10
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "LT", "EQ", "GT",
@@ -433,6 +434,12 @@ def decode(i: OrdinalIndex) -> Ordinal:
 # as deep as its "w^(" nesting, so OrdinalDepthError is raised before a level
 # past MAX_DEPTH is entered.  A term raises its syntax error first, then its
 # coefficient's overflow, then its value's depth.
+#
+# A document of many values (a log, a trace) is read and written with one
+# memo, private to that call, so each distinct top-level exponent is parsed
+# once and formatted once.  A group of more than one token that closes
+# without error is stored under its tokens; a later group of the same
+# tokens takes the value and goes on after its ")", checks of the term run.
 
 #: A token after the whitespace before it: "w^(", "0" (always alone, so "05"
 #: is 0 then 5), a number or another character.  `\s` is `str.isspace()`.
@@ -443,6 +450,9 @@ _TOKEN = re.compile(r"\s*(w\^\(|0|[1-9][0-9]*|\S)")
 _COEFF_DIGITS, _LONG = len(str(COEFF_LIMIT)), COEFF_LIMIT + 1
 _NONZERO = "numbers start with a nonzero digit"
 
+#: Nesting change of each token, to find the ")" that closes a group.
+_DELTA = {"w^(": 1, "(": 1, ")": -1}
+
 
 def _syntax_error(text: str, k: int, message: str) -> OrdinalSyntaxError:
     """The error at the k-th token of `text`, or at its end past the last."""
@@ -452,9 +462,16 @@ def _syntax_error(text: str, k: int, message: str) -> OrdinalSyntaxError:
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the ASCII grammar above; canonicalizes non-canonical input."""
+    return _parse(text, {})
+
+
+def _parse(text: str, memo: Dict[str, Ordinal]) -> Ordinal:
+    """parse_ordinal(text), reading top-level groups through `memo`
+    (their tokens joined by spaces -> value), shared within one document."""
     toks = _TOKEN.findall(text) + [""]  # "" is the end of the text
     deep = len(toks) > MAX_DEPTH        # a too-deep value takes more tokens
     groups, terms, i = [], [], 0        # partial sums of the open groups, the innermost ord
+    level = None                        # nesting after each token, once a lookup needs it
     while True:
         tok = toks[i]
         i += 1
@@ -463,12 +480,24 @@ def parse_ordinal(text: str) -> Ordinal:
                 if toks[i + 1] != "(":
                     raise _syntax_error(text, i + 1, "expected '('")
                 i += 2
-            if len(groups) == MAX_DEPTH:
-                _check_depth(MAX_DEPTH + 1)
-            groups.append(terms)
-            terms = []
-            continue
-        if "0" < tok[:1] <= "9":
+            exp = None
+            if not groups:              # top level: every earlier group is closed
+                # a one-token group is read faster than it is looked up
+                start = i if toks[i] and toks[i + 1] != ")" else 0
+                if start and memo:
+                    if level is None:
+                        level = list(accumulate(map(_DELTA.get, toks, repeat(0))))
+                    if level[-1] == 0:  # balanced, so some ")" closes this group
+                        j = level.index(0, i)
+                        exp = memo.get(" ".join(toks[i:j]))
+            if exp is None:
+                if len(groups) == MAX_DEPTH:
+                    _check_depth(MAX_DEPTH + 1)
+                groups.append(terms)
+                terms = []
+                continue
+            i, lit, coeff, depth = j + 1, "", 1, 1 + _depth(exp) if deep else 0
+        elif "0" < tok[:1] <= "9":
             exp, lit, depth = ZERO, tok, 0
             coeff = int(tok) if len(tok) <= _COEFF_DIGITS else _LONG
         elif tok == "w":
@@ -511,11 +540,20 @@ def parse_ordinal(text: str) -> Ordinal:
                 raise _syntax_error(text, i, "expected ')'")
             i += 1
             terms = groups.pop()
+            if not groups and start:
+                memo[" ".join(toks[start:i - 1])] = value
             exp, lit, coeff, depth = value, "", 1, 1 + _depth(value) if deep else 0
 
 
 def format_ordinal(a: Ordinal) -> str:
     """Canonical text form; parse_ordinal(format_ordinal(a)) == a."""
+    return _format(a, {})
+
+
+def _format(a: Ordinal, memo: Optional[Dict[Ordinal, str]]) -> str:
+    """format_ordinal(a), writing a's exponents through `memo` (exponent ->
+    "w^(...)"), shared within one document.  Deeper exponents take no memo:
+    hashing every level of a tower would take quadratic time."""
     if not a:
         return "0"
     parts = []
@@ -523,7 +561,14 @@ def format_ordinal(a: Ordinal) -> str:
         if not e:
             parts.append(str(c))
             continue
-        base = "w" if e == ONE else f"w^({format_ordinal(e)})"
+        if not e[0][0]:                 # w^n is written faster than it is looked up
+            base = "w" if e[0][1] == 1 else f"w^({e[0][1]})"
+        elif memo is None:
+            base = f"w^({_format(e, None)})"
+        else:
+            base = memo.get(e)
+            if base is None:
+                base = memo[e] = f"w^({_format(e, None)})"
         parts.append(base if c == 1 else f"{base}*{c}")
     return " + ".join(parts)
 

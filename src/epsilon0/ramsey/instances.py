@@ -112,19 +112,24 @@ class Tournament:
     out: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.out) != self.n:
+        n = self.n
+        if len(self.out) != n:
             raise ValueError("out must have one mask per vertex")
-        for a in range(self.n):
-            if self.out[a] >> self.n:
+        for a in range(n):
+            if self.out[a] >> n:
                 raise ValueError("out mask wider than n")
             if (self.out[a] >> a) & 1:
                 raise ValueError(f"vertex {a} beats itself")
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                ab = (self.out[a] >> b) & 1
-                ba = (self.out[b] >> a) & 1
-                if ab == ba:
-                    raise ValueError(f"pair ({a},{b}) must be oriented exactly one way")
+        # every pair at once: the n x n matrix of bits against its transpose
+        import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS
+        width = (n + 7) // 8
+        rows = b"".join(int(mask).to_bytes(width, "little") for mask in self.out)
+        beats = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(n, width), axis=1,
+                              count=n, bitorder="little")
+        same = beats == beats.T         # n on the diagonal, two for each pair oriented
+        if np.count_nonzero(same) > n:  # both ways or neither
+            a, b = np.argwhere(np.triu(same, 1))[0].tolist()    # the first, row-major
+            raise ValueError(f"pair ({a},{b}) must be oriented exactly one way")
 
     def beats(self, a: int, b: int) -> bool:
         return bool((self.out[a] >> b) & 1)

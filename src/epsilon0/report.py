@@ -93,20 +93,28 @@ def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
               ) -> Tuple[List[str], np.ndarray]:
     """`write(*cells)` of each distinct row of the columns, from any one row
     of it, and the index of every row's text.  Each column is coded as
-    ints: strings (the two `direction` values) by matching each distinct
-    value in turn, with no string sort; ints in [0, 256) stand for
-    themselves and others are ranked by `np.unique`.  The codes join into
-    one key per row, renumbered by `_dense` whenever the key space would
-    pass a small multiple of `rows` (by a sort if even that is too small)."""
+    ints: a numpy string array (the two `direction` values) by matching
+    each distinct value in turn, with no string sort; any other cells that
+    are not ints by a dict over the column as given, since a `<U` array
+    made from them would drop trailing NULs ("a\x00" would pass for "a");
+    ints in [0, 256) stand for themselves and others are ranked by
+    `np.unique`.  The codes join into one key per row, renumbered by
+    `_dense` whenever the key space would pass a small multiple of `rows`
+    (by a sort if even that is too small).  Cells are written from the
+    columns as given."""
     if not rows:
         return [], np.zeros(0, dtype=np.intp)
     key, space, limit = np.zeros(rows, dtype=np.intp), 1, 8 * rows + 256
-    for column in map(np.asarray, columns):
-        if column.dtype.kind not in "biu":
+    for given in columns:
+        column = np.asarray(given)
+        if column.dtype.kind in "US" and isinstance(given, np.ndarray):
             codes = np.full(rows, -1)
             while (codes < 0).any():
                 codes[column == column[codes.argmin()]] = codes.max() + 1
             column = codes
+        elif column.dtype.kind not in "biu":
+            codes = {}
+            column = np.array([codes.setdefault(cell, len(codes)) for cell in given])
         if 0 <= column.min() and column.max() < 256:
             size = int(column.max()) + 1
         else:
@@ -121,7 +129,8 @@ def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
     inverse, distinct = _dense(key, space)
     first = np.empty(distinct, dtype=np.intp)
     first[inverse] = np.arange(rows)
-    cells = [np.asarray(column)[first].tolist() for column in columns]
+    cells = [column[first].tolist() if isinstance(column, np.ndarray)
+             else [column[i] for i in first.tolist()] for column in columns]
     return [write(*(column[i] for column in cells)) for i in range(distinct)], inverse
 
 

@@ -1,8 +1,10 @@
 """The instance-file bit writer as it tested one bit of the code at a
-time (quadratic in C(n,2) on a Python int), and the `SetFamily` masks as
-they were built one element at a time, kept verbatim as the reference
-for `epsilon0.ramsey.instances._format_bits` and
-`epsilon0.ramsey.instances.SetFamily.__post_init__`."""
+time (quadratic in C(n,2) on a Python int), the `SetFamily` masks as
+they were built one element at a time, and the `Tournament` checks with
+their per-pair loop, kept verbatim as the reference for
+`epsilon0.ramsey.instances._format_bits`,
+`epsilon0.ramsey.instances.SetFamily.__post_init__` and
+`epsilon0.ramsey.instances.Tournament.__post_init__`."""
 
 from epsilon0.ramsey.instances import pair_count
 
@@ -22,3 +24,20 @@ def set_masks(n, sets):
             mask |= 1 << x
         masks.append(mask)
     return tuple(masks)
+
+
+def tournament_check(n, out):
+    """The checks of `Tournament(n, out)` with the per-pair loop, or its error."""
+    if len(out) != n:
+        raise ValueError("out must have one mask per vertex")
+    for a in range(n):
+        if out[a] >> n:
+            raise ValueError("out mask wider than n")
+        if (out[a] >> a) & 1:
+            raise ValueError(f"vertex {a} beats itself")
+    for a in range(n):
+        for b in range(a + 1, n):
+            ab = (out[a] >> b) & 1
+            ba = (out[b] >> a) & 1
+            if ab == ba:
+                raise ValueError(f"pair ({a},{b}) must be oriented exactly one way")

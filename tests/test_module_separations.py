@@ -14,9 +14,10 @@ one `Report(...)` call and no per-kind `_sweep_<kind>` function.  Its
 exhaustive sweeps run on chunk kernels that call no scalar solver,
 checker or trace encoder per code, and the coloring kernel's verifier
 shares no helper with the kernel.
-Ordinal text has one parser, `epsilon0.ordinal.parse_ordinal`, which
-tokenizes with one regex: no character scanner is left, and the log
-parsers of `descent` and `enumeration` call it instead of a copy.
+Ordinal text has one parser, `epsilon0.ordinal._parse` (`parse_ordinal`
+is it with a fresh memo), which tokenizes with one regex: no character
+scanner is left, and the log parsers of `descent` and `enumeration` call
+it instead of a copy.
 A natural sum of many values is one exponent count, `ordinal._nat_sum`:
 no tree fold is left in `enumeration`, `nat_add` is used only where
 `gamma_combine` re-runs the one-by-one sum to name an overflow, and
@@ -261,12 +262,13 @@ def test_ordinal_text_has_one_tokenizing_parser():
                       if isinstance(node, ast.Compare)
                       and any(isinstance(n, ast.Constant) and n.value in ("w", "w^(", "^")
                               for n in [node.left, *node.comparators])})
-    assert readers == [("ordinal.py", "parse_ordinal")]
+    assert readers == [("ordinal.py", "_parse")]
+    assert _called_names(_functions(SRC / "ordinal.py")["parse_ordinal"]) == {"_parse"}
     for module in (epsilon0.descent, epsilon0.enumeration):
-        assert module.parse_ordinal is epsilon0.ordinal.parse_ordinal
+        assert module._parse is epsilon0.ordinal._parse
         functions = _functions(Path(module.__file__))
         assert not [name for name in functions if "parse_ord" in name or "_term" in name]
-        assert any("parse_ordinal" in _called_names(f) for f in functions.values())
+        assert any("_parse" in _called_names(f) for f in functions.values())
 
 
 def test_natural_sums_of_many_values_are_counted():

@@ -1,0 +1,315 @@
+"""The per-document text memo of `epsilon0.ordinal` against per-line text.
+
+A document (an event log, a descent trace, an enumeration log, the
+`stage=... zeta=...` lines of `eps0 enum measure`) reads its values with
+one memo through `ordinal._parse`, and writes them with one memo through
+`ordinal._format`.  Every value read that way must equal what
+`tests/reference_parser.py` reads from its line alone, and every error must
+have the same type, message and position; every text written must equal
+`format_ordinal` of the value alone.  Documents come from seeded event
+logs and enumeration logs, from a valid line followed by a one-character
+change of it, and from hand-picked texts: a malformed group whose tokens
+join without spaces into a stored one, and a group written with spaces
+that must take the stored value.  The CLI commands that read or write
+documents print the same bytes under two hash seeds.  Hypothesis runs are
+derandomized, so a run writes no example database.
+"""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import epsilon0
+import reference_parser
+from epsilon0.descent import (
+    StreamEvent, StreamEventLog, format_descent_trace, format_event_log, gamma_combine,
+    parse_descent_trace, parse_event_log,
+)
+from epsilon0.enumeration import (
+    ROOT, RankAssignment, format_enumeration_log, format_node, parse_enumeration_log,
+)
+from epsilon0.generate import SplitMix64
+from epsilon0.ordinal import (
+    MAX_DEPTH, ONE, ZERO, Ordinal, OrdinalSyntaxError, _format, _parse, format_ordinal, from_int, nat_add,
+    nat_mul_k, omega_pow, parse_ordinal,
+)
+
+derandomized = settings(derandomize=True, database=None, max_examples=200)
+
+#: Characters of the grammar and a space: a one-character change draws from them.
+ALPHABET = "w^()+*0123456789 "
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:  # every exception is part of the comparison
+        return type(exc), str(exc), getattr(exc, "position", None)
+    assert type(value) is Ordinal
+    return value
+
+
+def assert_document_reads_like_its_lines(lines):
+    memo = {}
+    for text in lines:
+        assert outcome(lambda t: _parse(t, memo), text) == \
+            outcome(reference_parser.parse_ordinal, text), text
+
+
+def random_ordinal(rng, depth, width):
+    if depth == 0:
+        return from_int(rng.below(4))
+    total = ZERO
+    for _ in range(width):
+        term = omega_pow(random_ordinal(rng, depth - 1, width))
+        total = nat_add(total, nat_mul_k(term, 1 + rng.below(3)))
+    return total
+
+
+def below(rng, a):
+    """A seeded value strictly below a > 0 (the last term lowered by one,
+    and a finite-exponent term appended when that term was infinite)."""
+    terms = list(a)
+    exp, coeff = terms[-1]
+    lowered = Ordinal(terms[:-1] + ([(exp, coeff - 1)] if coeff > 1 else []))
+    if not exp:
+        return lowered
+    smaller = exp.as_int() - 1 if exp.is_finite() else rng.below(4)
+    return nat_add(lowered, nat_mul_k(omega_pow(from_int(smaller)), 1 + rng.below(5)))
+
+
+def event_log(seed, k, depth, events=40):
+    rng = SplitMix64(seed)
+    bound = nat_add(random_ordinal(rng, depth, 2), ONE)
+    current, out, t = [bound] * k, [], 0
+    for _ in range(events):
+        e = rng.below(k)
+        if current[e]:
+            current[e] = below(rng, current[e])
+            out.append(StreamEvent(t, e, current[e]))
+            t += 1 + rng.below(3)
+    return StreamEventLog(k=k, bound=bound, events=tuple(out))
+
+
+def rank_script(seed, stages=6):
+    """An enumeration log text whose ranks strictly fall from parent to child."""
+    rng = SplitMix64(seed)
+    root = nat_add(random_ordinal(rng, 3, 2), omega_pow(ONE))
+    ranks, leaves = {ROOT: root}, [ROOT]
+    lines = [f"bound={format_ordinal(nat_add(root, ONE))}", f"root rank={format_ordinal(root)}"]
+    for s in range(1, stages + 1):
+        lines.append(f"stage {s}")
+        grown = []
+        for leaf in leaves:
+            if not ranks[leaf] or len(leaf) >= 4:
+                continue
+            for i in range(1 + rng.below(2)):
+                child = leaf + (i,)
+                ranks[child] = below(rng, ranks[leaf])
+                lines.append(f"add {format_node(child)} rank={format_ordinal(ranks[child])}")
+                grown.append(child)
+        leaves = grown
+    return "\n".join(lines) + "\n", ranks
+
+
+LOGS = [(seed, 1 + seed % 6, 2 + seed % 3) for seed in range(24)]
+
+
+@pytest.mark.parametrize("seed, k, depth", LOGS)
+def test_event_logs_read_and_written_with_a_memo_equal_their_lines(seed, k, depth):
+    log = event_log(seed, k, depth)
+    text = format_event_log(log)
+    lines = text.splitlines()
+    assert lines[0] == f"k={k} bound={format_ordinal(log.bound)}"
+    assert lines[1:] == [f"t={ev.time} e={ev.stream} v={format_ordinal(ev.value)}"
+                         for ev in log.events]
+    parsed = parse_event_log(text)
+    assert parsed == log
+    assert parsed.bound == reference_parser.parse_ordinal(lines[0].split("bound=", 1)[1])
+    for ev, line in zip(parsed.events, lines[1:]):
+        assert ev.value == reference_parser.parse_ordinal(line.split("v=", 1)[1])
+    trace = gamma_combine(parsed)
+    written = format_descent_trace(trace)
+    assert written.splitlines() == [f"bound={format_ordinal(trace.bound)}",
+                                    *map(format_ordinal, trace.values)]
+    assert parse_descent_trace(written) == trace
+    assert [reference_parser.parse_ordinal(v) for v in written.splitlines()[1:]] == \
+        list(trace.values)
+
+
+def test_equal_exponents_of_one_log_are_one_object():
+    log = parse_event_log(format_event_log(event_log(5, 3, 3)))
+    lead = log.bound[0][0]
+    sharing = [ev.value[0][0] for ev in log.events if ev.value[0][0] == lead]
+    assert len(sharing) > 1 and all(e is lead for e in sharing)
+    other = parse_event_log(format_event_log(event_log(5, 3, 3)))
+    assert other.bound[0][0] == lead and other.bound[0][0] is not lead    # no memo between calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumeration_logs_read_and_written_with_a_memo_equal_their_lines(seed):
+    text, ranks = rank_script(seed)
+    enum, assigned, bound = parse_enumeration_log(text)
+    assert assigned.rank == ranks
+    for line in text.splitlines():
+        if "rank=" in line:
+            node = ROOT if line.startswith("root") else tuple(
+                map(int, line.split()[1].split(".")))
+            assert ranks[node] == reference_parser.parse_ordinal(line.split("rank=", 1)[1])
+    assert bound == reference_parser.parse_ordinal(text.splitlines()[0][len("bound="):])
+    assert format_enumeration_log(enum, RankAssignment(rank=ranks, bound=bound)) == text
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_lines_of_seeded_documents_read_like_the_reference(seed):
+    log = event_log(100 + seed, 4, 3)
+    values = [log.bound, *(ev.value for ev in log.events)]
+    assert_document_reads_like_its_lines([format_ordinal(v) for v in values])
+
+
+@st.composite
+def line_and_change(draw):
+    """A formatted value with a multi-token top-level group, and a
+    one-character change of it: a replacement, an insertion or a deletion."""
+    seed = draw(st.integers(0, 2**32))
+    rng = SplitMix64(seed)
+    value = nat_add(random_ordinal(rng, 3, 2), from_int(1 + rng.below(5)))
+    text = format_ordinal(value)
+    i = draw(st.integers(0, len(text) - 1))
+    kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+    ch = draw(st.sampled_from(ALPHABET))
+    changed = {"replace": text[:i] + ch + text[i + 1:], "insert": text[:i] + ch + text[i:],
+               "delete": text[:i] + text[i + 1:]}[kind]
+    return text, changed
+
+
+@derandomized
+@given(line_and_change())
+def test_a_line_then_a_one_character_change_reads_like_the_reference(lines):
+    text, changed = lines
+    assert_document_reads_like_its_lines([text, changed])
+    assert_document_reads_like_its_lines([text, changed, text])
+
+
+@pytest.mark.parametrize("lines", [
+    ["w^(12)", "w^(1 2)"],
+    ["w^(12) + 1", "w^(1 2) + 1", "w^(12)"],
+    ["w^(w + 1)", "w^(w 1)", "w^(w + + 1)", "w^(w+1"],
+    ["w^(w^(2) + 1)*3", "w^(w^(2) + 1)*0", "w^(w^(2) + 1)*", "w^(w^(2) + 1) w"],
+    ["w^(w*2 + 3) + w^(w*2 + 3)", "w^(w*2 + 3)*9223372036854775807 + w^(w*2 + 3)"],
+    ["w^(w + 1)", "(w + 1)", "w^((w + 1))", "w ^ (w + 1)) + 1"],
+    ["w^(w + 1)", "w^(", "1 + w^(", "w ^", "w^(w + 1) + w^("],
+    # the group is stored, then its term is too deep, on every line
+    ["w^(" * (MAX_DEPTH - 1) + "w" + ")" * (MAX_DEPTH - 1)] * 2,
+    ["w^(" * (MAX_DEPTH - 2) + "w" + ")" * (MAX_DEPTH - 2)] * 2,
+])
+def test_malformed_groups_after_stored_ones_raise_as_the_reference(lines):
+    assert_document_reads_like_its_lines(lines)
+
+
+def test_a_group_that_joins_into_a_stored_key_still_raises():
+    memo = {}
+    _parse("w^(12)", memo)
+    with pytest.raises(OrdinalSyntaxError) as err:
+        _parse("w^(1 2)", memo)
+    assert (str(err.value), err.value.position) == ("expected ')' (at position 5)", 5)
+
+
+def test_a_group_written_with_spaces_takes_the_stored_value():
+    memo = {}
+    first = _parse("w^(w^(3) + w*2 + 1)*4 + 2", memo)
+    assert len(memo) == 1
+    spaced = _parse("w ^ ( w^(3)+w * 2+ 1 ) * 5", memo)
+    assert spaced[0][0] is first[0][0]
+    assert spaced == reference_parser.parse_ordinal("w ^ ( w^(3)+w * 2+ 1 ) * 5")
+    assert len(memo) == 1
+    # an inner "w ^ (" is other tokens than "w^(": a new key, an equal value
+    inner = _parse("w^(w ^ (3) + w*2 + 1)", memo)
+    assert inner[0][0] == first[0][0] and len(memo) == 2
+
+
+@derandomized
+@given(st.lists(st.integers(0, 2**32), min_size=1, max_size=8))
+def test_values_written_with_one_memo_equal_format_ordinal(seeds):
+    memo = {}
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        value = random_ordinal(rng, 1 + seed % 4, 1 + seed % 3)
+        assert _format(value, memo) == format_ordinal(value)
+        assert parse_ordinal(_format(value, memo)) == value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_enum_measure_prints_format_ordinal_of_each_stage(tmp_path, seed):
+    import io
+    from contextlib import redirect_stdout
+
+    from epsilon0.cli import main
+    from epsilon0.enumeration import _stage_measures
+
+    text = rank_script(seed)[0]
+    path = tmp_path / "enum.txt"
+    path.write_text(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["enum", "measure", str(path)]) == 0
+    enum, ranks, _ = parse_enumeration_log(text)
+    expected = [f"stage={s} zeta={format_ordinal(z)}"
+                for s, z in enumerate(_stage_measures(enum, ranks))]
+    assert out.getvalue().splitlines() == expected + ["decrease ok"]
+
+
+def test_the_memos_are_arguments_with_no_default():
+    for helper in (_parse, _format):
+        memo = inspect.signature(helper).parameters["memo"]
+        assert memo.default is inspect.Parameter.empty
+
+
+# ---------------------------------------------------------------------------
+# the documents' commands print the same bytes under two hash seeds
+# ---------------------------------------------------------------------------
+
+CLI_SCRIPT = """
+import hashlib, io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from epsilon0.cli import main
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv.split())
+    print(code, len(out.getvalue()), hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_document_commands_print_the_same_under_two_hash_seeds(tmp_path):
+    argvs = []
+    for seed, k, depth in LOGS[:8]:
+        log = event_log(seed, k, depth)
+        path = tmp_path / f"log{seed}.txt"
+        path.write_text(format_event_log(log))
+        argvs.append(f"descent combine {path}")
+        trace = tmp_path / f"trace{seed}.txt"
+        trace.write_text(format_descent_trace(gamma_combine(log)))
+        argvs.append(f"descent validate {trace}")
+    for seed in range(6):
+        path = tmp_path / f"enum{seed}.txt"
+        path.write_text(rank_script(seed)[0])
+        argvs.append(f"enum measure {path}")
+    argvs += [f"enum run --style {style} --depth 3 --branching 2 --seed {seed}"
+              for style in ("full", "chain", "random") for seed in (1, 7)]
+    src = str(Path(epsilon0.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        done = subprocess.run([sys.executable, "-c", CLI_SCRIPT, *argvs], capture_output=True,
+                              text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.splitlines())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == len(argvs)
+    assert all(int(line.split()[1]) > 0 for line in outputs[0])

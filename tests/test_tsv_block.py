@@ -109,3 +109,22 @@ def test_the_benchmark_sweeps_equal_the_reference(kind, n, want_traces):
     assert not report.truncated and len(report.rows) == report.count
     assert len(report.traces) == (report.count if want_traces else 0)
     assert_emit_equals_the_reference(report)
+
+
+def test_string_cells_that_end_in_nul_keep_it_and_stay_apart():
+    strings = ("a\x00", "a", "b", "a\x00", "a\x00\x00", "", "\x00", "a")
+    report = sample_report(("instance", "d"), (range(len(strings)), strings))
+    assert_emit_equals_the_reference(report)
+    rows = emit(report, "tsv").splitlines()[-len(strings):]
+    assert [row.split("\t", 1)[1] for row in rows] == list(strings)
+    report = sample_report(("instance", "d"), (range(3), ("a\x00", "b", "c")))
+    assert emit(report, "tsv").endswith("instance\td\n0\ta\x00\n1\tb\n2\tc\n")
+
+
+@pytest.mark.parametrize("cells", [
+    np.array(["a\x00", "a", "a\x00"], dtype=object),     # no element equals itself as a numpy str
+    np.array([np.nan, 1.0, np.nan]),                      # nan equals nothing
+])
+def test_columns_that_equality_passes_cannot_code_equal_the_reference(cells):
+    report = sample_report(("instance", "d"), (range(3), cells))
+    assert_emit_equals_the_reference(report)
