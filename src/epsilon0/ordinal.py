@@ -8,9 +8,13 @@ in place.
 `Ordinal` subclasses `tuple`, with the terms as its items.  Python orders
 tuples lexicographically, item by item, and a tuple that is a proper
 prefix of another sorts first: exactly the normal-form order.  So `<`,
-`==` and `hash` are tuple's own, run in C, and `compare` only combines
-them.  Hashes are structural (from the coefficients and the exponents'
-hashes), so they are the same in every process.
+`==` and `hash` are tuple's own, run in C.  Hashes are structural (from
+the coefficients and the exponents' hashes), so they are the same in every
+process.  Tuple `<` re-checks the items it shares with the other operand
+for equality at every level it descends, so it takes time quadratic in the
+depth two values share.  `compare`, `nat_add` and the other orderings of
+this module therefore use it only where an operand is shallow, and walk
+two deep operands level by level, in time linear in what they share.
 
 Nesting is bounded: the depth of 0 is 0, and the depth of w^g*n + rest is
 one more than the depth of g (the leading exponent, which is at least as
@@ -141,7 +145,7 @@ class Ordinal(tuple):
                 raise TypeError("exponents must be Ordinal values")
             _check_coeff(c)
         for i in range(len(terms) - 1):
-            if not terms[i][0] > terms[i + 1][0]:
+            if _order(terms[i][0], terms[i + 1][0]) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
         if terms:
             _check_depth(1 + _depth(terms[0][0]))
@@ -227,7 +231,53 @@ Bound = Union[Ordinal, _Top]
 
 def is_below(a: Ordinal, bound: Bound) -> bool:
     """a < bound, where bound may be TOP (then always true)."""
-    return bound is TOP or a < bound
+    return bound is TOP or _order(a, bound) < 0
+
+
+#: Pairs of operands both deeper than this are ordered by `_walk`; others
+#: by tuple order in C.  Tuple `<` re-checks the shared items below it for
+#: equality at every level it descends, so it takes time quadratic in the
+#: depth of the part two values share.  Up to this depth that costs less
+#: than the walk's Python frames, and every value that descent and
+#: enumeration build stays on the C path.  The depth tests here and in
+#: `nat_add` are unrolled to this depth: a loop or a call costs the shallow
+#: calls more than it saves.
+_SHALLOW = 6
+
+
+def _deep(a: Ordinal) -> bool:
+    """True when a is deeper than _SHALLOW."""
+    return bool(a and (a := a[0][0]) and (a := a[0][0]) and (a := a[0][0])
+                and (a := a[0][0]) and (a := a[0][0]) and a[0][0])
+
+
+def _order(a: Ordinal, b: Ordinal) -> int:
+    """compare(a, b), for calls from inside this module (a traced or
+    replaced `compare` stays one span per public call)."""
+    if a is b:
+        return EQ
+    if (a and (x := a[0][0]) and (x := x[0][0]) and (x := x[0][0]) and (x := x[0][0])
+            and (x := x[0][0]) and x[0][0] and b and (x := b[0][0]) and (x := x[0][0])
+            and (x := x[0][0]) and (x := x[0][0]) and (x := x[0][0]) and x[0][0]):
+        return _walk(a, b)
+    if a < b:
+        return LT
+    return GT if a != b else EQ
+
+
+def _walk(a: Ordinal, b: Ordinal) -> int:
+    """compare(a, b) term by term: exponents that are the same object are
+    skipped, the first pair that differs decides through `_order`, then the
+    coefficients, then the lengths.  Each level is visited once, so the
+    time is linear in the structure a and b share."""
+    for (ea, ca), (eb, cb) in zip(a, b):
+        if ea is not eb:
+            rel = _order(ea, eb)
+            if rel:
+                return rel
+        if ca != cb:
+            return LT if ca < cb else GT
+    return (len(a) > len(b)) - (len(a) < len(b))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -235,9 +285,19 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
     Term lists are compared lexicographically, exponents first, then
     coefficients; with a common prefix the longer list is larger.  This is
-    tuple order, so the work is done in C.
+    tuple order, run as one `<` and one `!=` in C when either operand is
+    at most _SHALLOW deep, else by `_walk` in time linear in the depth the
+    operands share.
     """
-    return (a > b) - (a < b)
+    if a is b:
+        return EQ
+    if (a and (x := a[0][0]) and (x := x[0][0]) and (x := x[0][0]) and (x := x[0][0])
+            and (x := x[0][0]) and x[0][0] and b and (x := b[0][0]) and (x := x[0][0])
+            and (x := x[0][0]) and (x := x[0][0]) and (x := x[0][0]) and x[0][0]):
+        return _walk(a, b)
+    if a < b:
+        return LT
+    return GT if a != b else EQ
 
 
 def std_add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -251,10 +311,16 @@ def std_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not a:
         return b
     lead, coeff = b[0]
-    i = 0
-    while i < len(a) and a[i][0] > lead:
-        i += 1
-    if i < len(a) and a[i][0] == lead:
+    i, n, rel = 0, len(a), 1
+    if lead and _deep(lead):
+        while i < n and (rel := _order(a[i][0], lead)) > 0:
+            i += 1
+        same = i < n and not rel
+    else:
+        while i < n and a[i][0] > lead:
+            i += 1
+        same = i < n and a[i][0] == lead
+    if same:
         return _raw(Ordinal, (*a[:i], (lead, _check_coeff(a[i][1] + coeff)), *b[1:]))
     return _raw(Ordinal, (*a[:i], *b))
 
@@ -271,19 +337,40 @@ def nat_add(a: Ordinal, b: Ordinal) -> Ordinal:
     out = []
     i = j = 0
     la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ea, ca = term_a = a[i]
-        eb, cb = term_b = b[j]
-        if ea > eb:
-            out.append(term_a)
-            i += 1
-        elif ea < eb:
-            out.append(term_b)
-            j += 1
-        else:
-            out.append((ea, _check_coeff(ca + cb)))
-            i += 1
-            j += 1
+    if ((x := a[0][0]) and (x := x[0][0]) and (x := x[0][0]) and (x := x[0][0])
+            and (x := x[0][0]) and x[0][0] and (x := b[0][0]) and (x := x[0][0])
+            and (x := x[0][0]) and (x := x[0][0]) and (x := x[0][0]) and x[0][0]):
+        while i < la and j < lb:        # both deep: exponents ordered by the walk
+            ea, ca = term_a = a[i]
+            eb, cb = term_b = b[j]
+            rel = _order(ea, eb)
+            if rel > 0:
+                out.append(term_a)
+                i += 1
+            elif rel:
+                out.append(term_b)
+                j += 1
+            else:
+                out.append((ea, _check_coeff(ca + cb)))
+                i += 1
+                j += 1
+    else:
+        while i < la and j < lb:
+            ea, ca = term_a = a[i]
+            eb, cb = term_b = b[j]
+            if ea > eb:
+                out.append(term_a)
+                i += 1
+            elif ea < eb:
+                out.append(term_b)
+                j += 1
+            else:
+                c = ca + cb             # both valid, so only the limit can fail
+                if c > COEFF_LIMIT:
+                    raise OrdinalOverflowError(f"coefficient {c} exceeds 64-bit limit")
+                out.append((ea, c))
+                i += 1
+                j += 1
     out.extend(a[i:])
     out.extend(b[j:])
     return _raw(Ordinal, out)
@@ -430,16 +517,20 @@ def decode(i: OrdinalIndex) -> Ordinal:
 # The parser reads the tokens in one pass with a stack of the open "w^("
 # groups.  A group's partial sum is a monotone stack: a new term pops the
 # smaller exponents (std_add absorbs them), then merges with an equal one or
-# is pushed, so parsing takes time linear in the text.  A value is at least
-# as deep as its "w^(" nesting, so OrdinalDepthError is raised before a level
-# past MAX_DEPTH is entered.  A term raises its syntax error first, then its
+# is pushed, so parsing takes time linear in the text.  Each open group
+# carries the depth of its deepest term so far, so a closing group knows its
+# value's depth without walking it, and a term deeper than _SHALLOW + 1 is
+# ordered on the stack by the walk.  A value is at least as deep as its
+# "w^(" nesting, so OrdinalDepthError is raised before a level past
+# MAX_DEPTH is entered.  A term raises its syntax error first, then its
 # coefficient's overflow, then its value's depth.
 #
 # A document of many values (a log, a trace) is read and written with one
 # memo, private to that call, so each distinct top-level exponent is parsed
 # once and formatted once.  A group of more than one token that closes
-# without error is stored under its tokens; a later group of the same
-# tokens takes the value and goes on after its ")", checks of the term run.
+# without error is stored, with its term's depth, under its tokens; a later
+# group of the same tokens takes both and goes on after its ")", checks of
+# the term run.
 
 #: A token after the whitespace before it: "w^(", "0" (always alone, so "05"
 #: is 0 then 5), a number or another character.  `\s` is `str.isspace()`.
@@ -465,12 +556,13 @@ def parse_ordinal(text: str) -> Ordinal:
     return _parse(text, {})
 
 
-def _parse(text: str, memo: Dict[str, Ordinal]) -> Ordinal:
+def _parse(text: str, memo: Dict[str, Tuple[Ordinal, int]]) -> Ordinal:
     """parse_ordinal(text), reading top-level groups through `memo`
-    (their tokens joined by spaces -> value), shared within one document."""
+    (their tokens joined by spaces -> value and the depth of w^value),
+    shared within one document."""
     toks = _TOKEN.findall(text) + [""]  # "" is the end of the text
-    deep = len(toks) > MAX_DEPTH        # a too-deep value takes more tokens
-    groups, terms, i = [], [], 0        # partial sums of the open groups, the innermost ord
+    groups, terms, top, i = [], [], 0, 0    # the open groups' (terms, top); the innermost
+                                            # ord's terms and its leading term's depth
     level = None                        # nesting after each token, once a lookup needs it
     while True:
         tok = toks[i]
@@ -489,19 +581,19 @@ def _parse(text: str, memo: Dict[str, Ordinal]) -> Ordinal:
                         level = list(accumulate(map(_DELTA.get, toks, repeat(0))))
                     if level[-1] == 0:  # balanced, so some ")" closes this group
                         j = level.index(0, i)
-                        exp = memo.get(" ".join(toks[i:j]))
+                        exp, depth = memo.get(" ".join(toks[i:j]), (None, 0))
             if exp is None:
                 if len(groups) == MAX_DEPTH:
                     _check_depth(MAX_DEPTH + 1)
-                groups.append(terms)
-                terms = []
+                groups.append((terms, top))
+                terms, top = [], 0
                 continue
-            i, lit, coeff, depth = j + 1, "", 1, 1 + _depth(exp) if deep else 0
+            i, lit, coeff = j + 1, "", 1
         elif "0" < tok[:1] <= "9":
-            exp, lit, depth = ZERO, tok, 0
+            exp, lit, depth = ZERO, tok, 1
             coeff = int(tok) if len(tok) <= _COEFF_DIGITS else _LONG
         elif tok == "w":
-            exp, lit, coeff, depth = ONE, "", 1, 0
+            exp, lit, coeff, depth = ONE, "", 1, 2
         elif tok == "0" and not terms:  # the ord is 0
             exp = None
         else:
@@ -520,13 +612,16 @@ def _parse(text: str, memo: Dict[str, Ordinal]) -> Ordinal:
                 if coeff > COEFF_LIMIT:     # named by its first over-long literal, if any
                     big = next((n for n in (lit, f) if len(n) > _COEFF_DIGITS), coeff)
                     raise OrdinalOverflowError(f"coefficient {big} exceeds 64-bit limit")
-                if depth > MAX_DEPTH:
-                    _check_depth(depth)
-                if terms and not terms[-1][0] > exp:   # else the term just follows
-                    while terms and terms[-1][0] < exp:
+                if terms and (not terms[-1][0] > exp if depth <= _SHALLOW + 1
+                              else _order(terms[-1][0], exp) <= 0):  # else the term just follows
+                    while terms and _order(terms[-1][0], exp) < 0:
                         terms.pop()
-                    if terms and terms[-1][0] == exp:
+                    if terms and terms[-1][0] == exp:   # as deep, so already checked
                         coeff = _check_coeff(coeff + terms.pop()[1])
+                if not terms:           # a leading term: the ord's deepest
+                    if depth > MAX_DEPTH:
+                        _check_depth(depth)
+                    top = depth
                 terms.append((exp, coeff))
                 if toks[i] == "+":
                     i += 1
@@ -539,10 +634,11 @@ def _parse(text: str, memo: Dict[str, Ordinal]) -> Ordinal:
             if toks[i] != ")":
                 raise _syntax_error(text, i, "expected ')'")
             i += 1
-            terms = groups.pop()
+            depth = top + 1
+            terms, top = groups.pop()
             if not groups and start:
-                memo[" ".join(toks[start:i - 1])] = value
-            exp, lit, coeff, depth = value, "", 1, 1 + _depth(value) if deep else 0
+                memo[" ".join(toks[start:i - 1])] = value, depth
+            exp, lit, coeff = value, "", 1
 
 
 def format_ordinal(a: Ordinal) -> str:
