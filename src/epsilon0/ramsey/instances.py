@@ -53,6 +53,15 @@ def _pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 
+def _row_masks(grid) -> Tuple[int, ...]:
+    """Each row of a 2-d bool array as the int whose bit j is its cell j."""
+    import numpy as np
+    packed = np.packbits(grid, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[i * width:(i + 1) * width], "little")
+                 for i in range(len(packed)))
+
+
 @dataclass(frozen=True)
 class PairColoring:
     """A total 2-coloring of the pairs over [0, n), packed as a bit field."""
@@ -148,13 +157,9 @@ class Tournament:
     @classmethod
     def from_order(cls, ranking: Sequence[int]) -> "Tournament":
         """Orientation where a beats b iff a comes earlier in the ranking."""
-        n = len(ranking)
-        out = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if a != b and ranking[a] < ranking[b]:
-                    out[a] |= 1 << b
-        return cls(n, tuple(out))
+        import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS
+        rank = np.array(ranking, dtype=object)          # Python's `<` on every pair
+        return cls(len(rank), _row_masks(rank[:, None] < rank))
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,8 @@ class SetFamily:
 
     def __post_init__(self):
         """Every mask in one numpy pass: the elements of all sets in a row,
-        each set's row of an m x n bool grid scattered at them, packed
-        little-endian into bytes, and one int.from_bytes per set."""
+        each set's row of an m x n bool grid scattered at them, and the
+        grid's `_row_masks`."""
         import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS 1.4 MB
         sets, n = self.sets, self.n
         flat = np.array([x for s in sets for x in s])
@@ -196,10 +201,7 @@ class SetFamily:
             raise ValueError(f"set {row[outside.argmax()]} leaves the universe [0,{n})")
         grid = np.zeros((len(sets), int(flat.max(initial=-1)) + 1), dtype=bool)
         grid[row, flat.astype(np.intp, copy=False)] = True
-        packed = np.packbits(grid, axis=1, bitorder="little")
-        data, width = packed.tobytes(), packed.shape[1]
-        object.__setattr__(self, "_masks", tuple(int.from_bytes(data[i * width:(i + 1) * width],
-                                                                "little") for i in range(len(sets))))
+        object.__setattr__(self, "_masks", _row_masks(grid))
 
     def masks(self) -> Tuple[int, ...]:
         """The bit mask of each set, built with the instance."""

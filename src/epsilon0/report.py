@@ -31,6 +31,9 @@ __all__ = ["Report", "summarize", "emit", "parse_tsv"]
 
 FORMATS = ("summary", "tsv", "trace")
 
+#: The words of the code columns: `direction` is 1 for an ascending run.
+_WORDS = {"direction": ("descending", "ascending")}
+
 
 @dataclass
 class Report:
@@ -39,8 +42,8 @@ class Report:
     mode: str                      # "exhaustive" or "sample"
     seed: Optional[int]
     columns: Tuple[str, ...]
-    cells: Tuple[Sequence, ...]    # one per column, ints or strings, rows kept only;
-                                   # `instance` ids are ints >= 0 (else tsv: ValueError)
+    cells: Tuple[Sequence, ...]    # one per column, ints, rows kept only (else tsv:
+                                   # ValueError); `instance` ids are ints >= 0
     count: int                     # instances run (rows may be capped)
     failures: int
     truncated: bool = False
@@ -49,8 +52,10 @@ class Report:
 
     @property
     def rows(self) -> List[Tuple]:
-        """The cells as one tuple of Python ints and strings per row."""
-        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.cells)))
+        """The cells as one tuple of Python values per row, codes as words."""
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.cells]
+        return list(zip(*([_WORDS[name][code] for code in column] if name in _WORDS else column
+                          for name, column in zip(self.columns, columns))))
 
     def config_items(self) -> List[Tuple[str, str]]:
         return [
@@ -91,30 +96,19 @@ def _dense(key: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
 
 def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
               ) -> Tuple[List[str], np.ndarray]:
-    """`write(*cells)` of each distinct row of the columns, from any one row
-    of it, and the index of every row's text.  Each column is coded as
-    ints: a numpy string array (the two `direction` values) by matching
-    each distinct value in turn, with no string sort; any other cells that
-    are not ints by a dict over the column as given, since a `<U` array
-    made from them would drop trailing NULs ("a\x00" would pass for "a");
-    ints in [0, 256) stand for themselves and others are ranked by
-    `np.unique`.  The codes join into one key per row, renumbered by
-    `_dense` whenever the key space would pass a small multiple of `rows`
-    (by a sort if even that is too small).  Cells are written from the
-    columns as given."""
+    """`write(*cells)` of each distinct row of the int columns, from any one
+    row of it, and the index of every row's text.  Ints in [0, 256) code
+    themselves and others are ranked by `np.unique`; the codes join into
+    one key per row, renumbered by `_dense` whenever the key space would
+    pass a small multiple of `rows` (by a sort if even that is too small).
+    ValueError for a column that is not ints."""
     if not rows:
         return [], np.zeros(0, dtype=np.intp)
     key, space, limit = np.zeros(rows, dtype=np.intp), 1, 8 * rows + 256
-    for given in columns:
-        column = np.asarray(given)
-        if column.dtype.kind in "US" and isinstance(given, np.ndarray):
-            codes = np.full(rows, -1)
-            while (codes < 0).any():
-                codes[column == column[codes.argmin()]] = codes.max() + 1
-            column = codes
-        elif column.dtype.kind not in "biu":
-            codes = {}
-            column = np.array([codes.setdefault(cell, len(codes)) for cell in given])
+    given = [np.asarray(column) for column in columns]
+    for column in given:
+        if column.dtype.kind not in "biu":
+            raise ValueError("report cells must be ints")
         if 0 <= column.min() and column.max() < 256:
             size = int(column.max()) + 1
         else:
@@ -129,8 +123,7 @@ def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
     inverse, distinct = _dense(key, space)
     first = np.empty(distinct, dtype=np.intp)
     first[inverse] = np.arange(rows)
-    cells = [column[first].tolist() if isinstance(column, np.ndarray)
-             else [column[i] for i in first.tolist()] for column in columns]
+    cells = [column[first].tolist() for column in given]
     return [write(*(column[i] for column in cells)) for i in range(distinct)], inverse
 
 
@@ -140,12 +133,13 @@ def _interned(rows: int, columns: Sequence[Sequence], write: Callable[..., str])
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-def _row_text(cells: Sequence[Sequence]) -> str:
+def _row_text(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
     """The tsv lines of every row as one string: a uint8 block of rows x
     (digits + width) holds the decimal digits of each instance id, then its
-    tail (`\t`-led cells after `instance`, `\n`-ended) from a zero-padded
-    table of the distinct tails' bytes; a mask of the same shape keeps the
-    significant digits and each tail's true length, decoded once."""
+    tail (`\t`-led cells after `instance`, `\n`-ended, codes of a column in
+    `_WORDS` as their words) from a zero-padded table of the distinct tails'
+    bytes; a mask of the same shape keeps the significant digits and each
+    tail's true length, decoded once."""
     rows, ids = len(cells[0]), cells[0]
     if not rows:
         return ""
@@ -154,7 +148,9 @@ def _row_text(cells: Sequence[Sequence]) -> str:
         ids = ids.astype(np.int64)                # past 2^63 reads as negative
     if ids.dtype != np.int64 or ids.min() < 0:
         raise ValueError("instance ids must be non-negative ints")
-    texts, inverse = _distinct(rows, cells[1:], ("\t{}" * (len(cells) - 1) + "\n").format)
+    names, line = columns[1:], ("\t{}" * (len(cells) - 1) + "\n").format
+    texts, inverse = _distinct(rows, cells[1:], lambda *tail: line(*(
+        _WORDS[name][cell] if name in _WORDS else cell for name, cell in zip(names, tail))))
     encoded = [text.encode() for text in texts]
     table = np.array(encoded).view(np.uint8).reshape(len(encoded), -1)    # NUL-padded
     digits, width = len(str(ids.max())), table.shape[1]
@@ -181,7 +177,7 @@ def _emit_summary(report: Report) -> str:
 
 def _emit_tsv(report: Report) -> str:
     lines = [f"# {k}\t{v}\n" for k, v in report.config_items()]
-    lines += ["\t".join(report.columns) + "\n", _row_text(report.cells)]
+    lines += ["\t".join(report.columns) + "\n", _row_text(report.columns, report.cells)]
     if report.truncated:
         lines.append("# truncated\n")
     return "".join(lines)

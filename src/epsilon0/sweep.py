@@ -56,7 +56,7 @@ from .ramsey.solvers import (
     rt22_solve,
     verify_trace,
 )
-from .report import Report, _interned
+from .report import _WORDS, Report, _interned
 
 __all__ = ["sweep", "transitive_bound", "ascdesc_bound", "verify_cohesive",
            "exhaustive_triple_ok", "EXHAUSTIVE_PAIR_LIMIT"]
@@ -93,9 +93,6 @@ _CHUNK = 1 << 16
 
 #: Set bits of every uint8 value (np.bitwise_count needs numpy >= 2).
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-#: A direction column value, indexed by "ascending".
-_DIRECTIONS = ("descending", "ascending")
 
 
 def _out_mask_array(n: int, codes: np.ndarray) -> np.ndarray:
@@ -352,7 +349,7 @@ def _trace_lines(n: int, chunk: _ColoringChunk, kept: slice) -> List[str]:
         steps_text = ",".join(f"[{x},{step_sides >> x & 1}]" for x in range(n) if steps >> x & 1)
         return (f'{{"cohesive_set":{_SUBSET_TEXT[g0]},"cohesive_sides":[{sides_text}],'
                 f'"cohesive_thresholds":[{",".join(map(str, thr))}],"final_color":{color},'
-                f'"final_set":{_SUBSET_TEXT[h]},"monotone_direction":"{_DIRECTIONS[up]}",'
+                f'"final_set":{_SUBSET_TEXT[h]},"monotone_direction":"{_WORDS["direction"][up]}",'
                 f'"monotone_set":{_SUBSET_TEXT[h]},"n":{n},"transitive_set":{_SUBSET_TEXT[g1]},'
                 f'"transitive_steps":[{steps_text}],"window":{w0}}}')
 
@@ -368,7 +365,7 @@ def _coloring_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
     chunk = _coloring_chunk(n, codes, window)
     ok = _verify_coloring_chunk(n, codes, chunk) == 0
     return ((*_POPCOUNT.take([chunk.g0, chunk.g1, chunk.h]), chunk.color,
-             np.take(_DIRECTIONS, chunk.ascending), ok.astype(np.uint8)),
+             *np.uint8([chunk.ascending, ok])),
             _trace_lines(n, chunk, slice(keep)) if want_traces else [])
 
 
@@ -413,15 +410,14 @@ def _order_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
     ascending, size, chain = _longest_monotone(ranks, np.ones(ranks.shape, dtype=bool))
     monotone = _monotone_runs(ranks, chain, ascending)
     b_ok = size >= ascdesc_bound(n)
-    return (size.astype(np.uint8), np.take(_DIRECTIONS, ascending),
-            *np.uint8([monotone, b_ok, monotone & b_ok])), []
+    return (size.astype(np.uint8), *np.uint8([ascending, monotone, b_ok, monotone & b_ok])), []
 
 
 def _check_coloring(coloring: PairColoring, window, target):
     trace = rt22_solve(coloring, window)
     ok = verify_trace(trace, coloring).ok  # its final stage checks homogeneity
     return (len(trace.cohesive_set), len(trace.transitive_set), len(trace.final_set),
-            trace.final_color, trace.monotone_direction, int(ok)), trace
+            trace.final_color, int(trace.monotone_direction == "ascending"), int(ok)), trace
 
 
 def _check_tournament(tournament: Tournament, window, target):
@@ -440,7 +436,7 @@ def _check_order(order: LinearOrderInstance, window, target):
     monotone = all(seq[i] < seq[i + 1] for i in range(len(seq) - 1)) and all(
         order.less(seq[i], seq[i + 1]) == ascending for i in range(len(seq) - 1))
     b_ok = len(seq) >= ascdesc_bound(order.n)
-    return (len(seq), result.direction, int(monotone), int(b_ok), int(monotone and b_ok)), None
+    return (len(seq), int(ascending), int(monotone), int(b_ok), int(monotone and b_ok)), None
 
 
 def _check_family(family: SetFamily, window, target):
@@ -524,7 +520,7 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
                 tails.append(row)
                 if want_traces and trace is not None:
                     traces.append(trace.to_json())
-        cells = list(zip(*tails))
+        cells = [np.array(column) for column in zip(*tails)]
     return Report(kind=kind, n=n, mode=mode, seed=seed, columns=columns,
                   cells=(range(min(total, max_rows)), *(cells or [()] * (len(columns) - 1))),
                   count=total, failures=failures, truncated=total > max_rows, traces=traces)

@@ -1,12 +1,14 @@
 """The instance-file bit writer as it tested one bit of the code at a
 time (quadratic in C(n,2) on a Python int), the `SetFamily` masks as
-they were built one element at a time, and the `Tournament` checks with
-their per-pair loop, kept verbatim as the reference for
+they were built one element at a time, the `Tournament` checks with
+their per-pair loop, and `Tournament.from_order` with its n^2 double
+loop, kept verbatim as the reference for
 `epsilon0.ramsey.instances._format_bits`,
-`epsilon0.ramsey.instances.SetFamily.__post_init__` and
-`epsilon0.ramsey.instances.Tournament.__post_init__`."""
+`epsilon0.ramsey.instances.SetFamily.__post_init__`,
+`epsilon0.ramsey.instances.Tournament.__post_init__` and
+`epsilon0.ramsey.instances.Tournament.from_order`."""
 
-from epsilon0.ramsey.instances import pair_count
+from epsilon0.ramsey.instances import Tournament, pair_count
 
 
 def _format_bits(bits: int, n: int) -> str:
@@ -41,3 +43,14 @@ def tournament_check(n, out):
             ba = (out[b] >> a) & 1
             if ab == ba:
                 raise ValueError(f"pair ({a},{b}) must be oriented exactly one way")
+
+
+def tournament_from_order(ranking):
+    """`Tournament.from_order(ranking)` with the double loop, or its error."""
+    n = len(ranking)
+    out = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if a != b and ranking[a] < ranking[b]:
+                out[a] |= 1 << b
+    return Tournament(n, tuple(out))

@@ -12,7 +12,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from epsilon0.sweep import _DIRECTIONS, _SUBSET_TEXT, _ColoringChunk
+from epsilon0.sweep import _SUBSET_TEXT, _ColoringChunk
+
+#: A direction value, indexed by "ascending".
+_DIRECTIONS = ("descending", "ascending")
 
 
 def _patience(keys: np.ndarray, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

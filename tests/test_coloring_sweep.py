@@ -30,7 +30,7 @@ from epsilon0.cli import main
 from epsilon0.ramsey import LinearOrderInstance, PairColoring
 from epsilon0.ramsey.instances import pair_count
 from epsilon0.ramsey.solvers import SolverTrace, rt22_solve, verify_trace
-from epsilon0.report import emit
+from epsilon0.report import _WORDS, emit
 from epsilon0.sweep import (
     _STAGES, _check_coloring, _check_order, _coloring_chunk, _coloring_rows,
     _longest_monotone, _monotone_runs, _order_rows, _patience, _trace_lines,
@@ -260,7 +260,9 @@ def test_cli_exhaustive_sweeps_print_the_scalar_reports(kind, n):
         instances = [LinearOrderInstance(n, p) for p in itertools.permutations(range(n))]
         check = _check_order
     results = [check(instance, None, None) for instance in instances]
-    tsv = "".join("\t".join(map(str, (i, *row))) + "\n" for i, (row, _) in enumerate(results))
+    at = SWEEP_MODULE._KINDS[kind][0].index("direction") - 1     # in a row after `instance`
+    tsv = "".join("\t".join(map(str, (i, *row[:at], _WORDS["direction"][row[at]], *row[at + 1:])))
+                  + "\n" for i, (row, _) in enumerate(results))
     traces = "".join(trace.to_json() + "\n" for _, trace in results if trace is not None)
     code, out, err = run_cli("sweep", "--kind", kind, "--n", str(n), "--exhaustive",
                              "--format", "tsv")

@@ -17,21 +17,14 @@ C.  Every result is compared with the tuple-order versions kept in
 
 The scale tests time each operation on towers with different bases at
 heights 60 and 240: linear time gives a ratio near 4, the quadratic tuple
-order near 16, and the bound is 8.  `eps0 ord` with deep operands prints
-the same under two hash seeds, and what the reference computes.
+order near 16, and the bound is 8.
 """
 
 import functools
-import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import epsilon0
 import reference_ordinal as ref
 import reference_parser
 from epsilon0.ordinal import (
@@ -258,46 +251,3 @@ def test_the_deepest_values_raise_no_recursion_error():
         assert compare(a, b) == LT and is_below(a, b)
         assert std_add(a, b) == b
         assert std_add(b, a) == nat_add(a, b)
-
-
-# ---------------------------------------------------------------------------
-# eps0 ord under two hash seeds
-# ---------------------------------------------------------------------------
-
-ORD_SCRIPT = """
-import io, json, sys
-from contextlib import redirect_stdout
-from epsilon0.cli import main
-for argv in json.loads(sys.stdin.read()):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(argv)
-    print(json.dumps([code, out.getvalue()]))
-"""
-
-
-def test_ord_with_deep_operands_prints_the_same_under_two_hash_seeds():
-    operands = []
-    for h in (_SHALLOW + 1, 100, MAX_DEPTH - 2):
-        a, b = tower(from_int(2), h), tower(from_int(3), h)
-        operands += [a, b, rebuilt(a), nat_add(a, SMALL[300]), nat_mul_omega(nat_add(b, a))]
-    pairs = [(a, b) for a in operands[::2] for b in operands[1::2]]
-    argvs, expected = [], []
-    for a, b in pairs:
-        ta, tb = format_ordinal(a), format_ordinal(b)
-        argvs += [["ord", "compare", ta, tb], ["ord", "nat-add", ta, tb],
-                  ["ord", "add", ta, tb], ["ord", "eval", f"{tb} + {ta}"]]
-        expected += [[0, "%s\n" % {-1: "LT", 0: "EQ", 1: "GT"}[ref.compare(a, b)]],
-                     [0, format_ordinal(ref.nat_add(a, b)) + "\n"],
-                     [0, format_ordinal(ref.std_add(a, b)) + "\n"],
-                     [0, format_ordinal(ref.std_add(b, a)) + "\n"]]
-    src = str(Path(epsilon0.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("0", "4242"):
-        done = subprocess.run([sys.executable, "-c", ORD_SCRIPT], input=json.dumps(argvs),
-                              capture_output=True, text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
-    assert [json.loads(line) for line in outputs[0].splitlines()] == expected

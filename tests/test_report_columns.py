@@ -1,18 +1,12 @@
 """The columnar report writers against the row-based reference
-(tests/reference_report.py), byte for byte, and `eps0 sweep` stdout
-across hash seeds."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+(tests/reference_report.py), byte for byte, and `Report.rows` as the
+cells row by row with `direction` codes as their words."""
 
 import numpy as np
 import pytest
 
-import epsilon0
 import reference_report as ref
-from epsilon0.report import FORMATS, Report, _interned, emit
+from epsilon0.report import _WORDS, FORMATS, Report, _interned, emit
 from epsilon0.sweep import sweep
 
 UNBOUNDED = 1 << 62
@@ -56,23 +50,32 @@ def test_a_row_cap_next_to_a_chunk_boundary_equals_the_reference(max_rows):
 
 
 def test_rows_is_a_read_only_view_of_the_cells():
-    report = sweep("order", 3, "exhaustive")
-    assert report.rows == [(i, *row) for i, row in enumerate(zip(
-        *(column.tolist() for column in report.cells[1:])))]
-    assert all(type(cell) in (int, str) for row in report.rows for cell in row)
-    with pytest.raises(AttributeError):
-        report.rows = []
+    for kind, mode in [(kind, mode) for kind in ("coloring", "order")
+                       for mode in ("exhaustive", "sample")]:
+        report = sweep(kind, 4, mode, count=0 if mode == "exhaustive" else 30, seed=2)
+        at = report.columns.index("direction")
+        codes = report.cells[at]
+        assert codes.dtype.kind in "iu" and set(codes.tolist()) == {0, 1}
+        cells = [column.tolist() for column in report.cells[1:]]
+        cells[at - 1] = [_WORDS["direction"][code] for code in cells[at - 1]]
+        assert report.rows == [(i, *row) for i, row in enumerate(zip(*cells))]
+        assert [row[at] for row in report.rows] == [
+            "ascending" if code else "descending" for code in codes.tolist()]
+        assert all(type(cell) is int for row in report.rows for cell in row[:at] + row[at + 1:])
+        with pytest.raises(AttributeError):
+            report.rows = []
 
 
 def test_many_wide_and_mixed_columns_equal_the_reference():
     # Each uint8 column multiplies the row key by 256: past eight of them
     # the first would be shifted out of an int64 unless the key is
-    # renumbered on the way.  Wide ints, strings and lists mixed in.
+    # renumbered on the way.  Wide ints, direction codes, tuples and lists
+    # mixed in.
     rng = np.random.default_rng(16)
     count = 3000
     flags = [rng.integers(0, 256, count).astype(np.uint8)] + [np.zeros(count, np.uint8)] * 8
     cells = (range(count), *flags, rng.choice([-(1 << 61), 0, 1 << 61], count),
-             tuple(rng.choice(["up", "down", "-"], count).tolist()),
+             tuple(rng.integers(0, 2, count).tolist()),
              rng.integers(0, 2, count).astype(np.uint8), rng.integers(0, 4, count).tolist())
     columns = ("instance", *(f"f{i}" for i in range(9)), "wide", "direction", "ok", "size")
     report = Report(kind="coloring", n=5, mode="sample", seed=1, columns=columns,
@@ -82,12 +85,11 @@ def test_many_wide_and_mixed_columns_equal_the_reference():
 
 def test_interned_rows_renumber_keys_that_would_overflow():
     # Nine columns of values up to 255 span 2^72 keys, past an int64, so
-    # the keys are renumbered on the way; a string column is matched by
-    # equality and wide ints by a sort.
+    # the keys are renumbered on the way; wide ints are ranked by a sort.
     rng = np.random.default_rng(17)
     count = 2000
     columns = [rng.integers(0, 256, count).astype(np.uint8) for _ in range(9)]
-    columns += [rng.choice(["ascending", "descending"], count),
+    columns += [rng.choice([300, 70_000], count),
                 rng.choice([-(1 << 61), 7, 1 << 61], count), rng.integers(0, 2, count) == 1]
     written = []
 
@@ -106,41 +108,7 @@ def test_interned_rows_renumber_keys_that_would_overflow():
 
 
 def test_interned_rows_share_one_string_per_distinct_row():
-    columns = [np.array([3, 1, 3, 3], dtype=np.uint8), np.array(["a", "b", "a", "a"])]
+    columns = [np.array([3, 1, 3, 3], dtype=np.uint8), np.array([700, 9, 700, 700])]
     lines = _interned(4, columns, lambda *row: "".join(map(str, row)))
-    assert lines == ["3a", "1b", "3a", "3a"]
+    assert lines == ["3700", "19", "3700", "3700"]
     assert lines[0] is lines[2] is lines[3]
-
-
-SWEEP_SCRIPT = """
-import hashlib, io, sys
-from contextlib import redirect_stderr, redirect_stdout
-from epsilon0.cli import main
-for argv in sys.argv[1:]:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(argv.split())
-    print(code, len(out.getvalue()), hashlib.sha256(out.getvalue().encode()).hexdigest())
-"""
-
-SWEEPS = ["--kind coloring --n 4 --exhaustive", "--kind tournament --n 5 --exhaustive",
-          "--kind order --n 5 --exhaustive", "--kind coloring --n 6 --count 30 --seed 9",
-          "--kind tournament --n 9 --count 30 --seed 9", "--kind order --n 12 --count 30 --seed 9",
-          "--kind family --n 8 --count 30 --seed 9",
-          "--kind tournament --n 4 --exhaustive --max-rows 7"]
-
-
-def test_sweep_stdout_is_the_same_under_two_hash_seeds():
-    argvs = [f"sweep {sweep_args} --format {fmt}" for sweep_args in SWEEPS for fmt in FORMATS]
-    src = str(Path(epsilon0.__file__).resolve().parents[1])
-    outputs = []
-    for seed in ("0", "4242"):
-        done = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT, *argvs], capture_output=True,
-                              text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout.splitlines())
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == len(argvs)
-    assert all(line.startswith("0 ") and int(line.split()[1]) > 0
-               for line, argv in zip(outputs[0], argvs) if "trace" not in argv)

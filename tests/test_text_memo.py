@@ -10,21 +10,15 @@ have the same type, message and position; every text written must equal
 logs and enumeration logs, from a valid line followed by a one-character
 change of it, and from hand-picked texts: a malformed group whose tokens
 join without spaces into a stored one, and a group written with spaces
-that must take the stored value.  The CLI commands that read or write
-documents print the same bytes under two hash seeds.  Hypothesis runs are
-derandomized, so a run writes no example database.
+that must take the stored value.  Hypothesis runs are derandomized, so a
+run writes no example database.
 """
 
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import epsilon0
 import reference_parser
 from epsilon0.descent import (
     StreamEvent, StreamEventLog, format_descent_trace, format_event_log, gamma_combine,
@@ -268,48 +262,3 @@ def test_the_memos_are_arguments_with_no_default():
     for helper in (_parse, _format):
         memo = inspect.signature(helper).parameters["memo"]
         assert memo.default is inspect.Parameter.empty
-
-
-# ---------------------------------------------------------------------------
-# the documents' commands print the same bytes under two hash seeds
-# ---------------------------------------------------------------------------
-
-CLI_SCRIPT = """
-import hashlib, io, sys
-from contextlib import redirect_stderr, redirect_stdout
-from epsilon0.cli import main
-for argv in sys.argv[1:]:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(argv.split())
-    print(code, len(out.getvalue()), hashlib.sha256(out.getvalue().encode()).hexdigest())
-"""
-
-
-def test_document_commands_print_the_same_under_two_hash_seeds(tmp_path):
-    argvs = []
-    for seed, k, depth in LOGS[:8]:
-        log = event_log(seed, k, depth)
-        path = tmp_path / f"log{seed}.txt"
-        path.write_text(format_event_log(log))
-        argvs.append(f"descent combine {path}")
-        trace = tmp_path / f"trace{seed}.txt"
-        trace.write_text(format_descent_trace(gamma_combine(log)))
-        argvs.append(f"descent validate {trace}")
-    for seed in range(6):
-        path = tmp_path / f"enum{seed}.txt"
-        path.write_text(rank_script(seed)[0])
-        argvs.append(f"enum measure {path}")
-    argvs += [f"enum run --style {style} --depth 3 --branching 2 --seed {seed}"
-              for style in ("full", "chain", "random") for seed in (1, 7)]
-    src = str(Path(epsilon0.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("0", "4242"):
-        done = subprocess.run([sys.executable, "-c", CLI_SCRIPT, *argvs], capture_output=True,
-                              text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout.splitlines())
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == len(argvs)
-    assert all(int(line.split()[1]) > 0 for line in outputs[0])

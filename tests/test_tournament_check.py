@@ -3,13 +3,17 @@ matrix and its transpose, against the per-pair loop it replaced
 (`tests/reference_instances.tournament_check`): the same masks pass, and
 malformed ones raise the same error type with the same message, naming
 the same first pair in row-major order, at sizes around the byte and word
-boundaries of the packed rows."""
+boundaries of the packed rows.  `Tournament.from_order`, one comparison
+grid packed by rows, against its double loop
+(`tests/reference_instances.tournament_from_order`) on the same sizes:
+seeded rankings give the same tournament, and rankings with ties the
+same error."""
 
 import pytest
 
-from epsilon0.generate import SplitMix64, make_tournament
+from epsilon0.generate import SplitMix64, make_order, make_tournament
 from epsilon0.ramsey.instances import Tournament
-from reference_instances import tournament_check
+from reference_instances import tournament_check, tournament_from_order
 
 SIZES = [0, 1, 2, 7, 8, 9, 63, 64, 65]
 
@@ -69,3 +73,22 @@ def test_every_pair_both_ways_names_pair_0_1():
     n = 9
     out = [((1 << n) - 1) & ~(1 << a) for a in range(n)]
     assert assert_same(n, out) == (ValueError, "pair (0,1) must be oriented exactly one way")
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_from_order_matches_the_double_loop(n):
+    rng = SplitMix64(100 + n)
+    rankings = [make_order(n, seed).ranking for seed in range(5)] if n else [()]
+    rankings += [range(n), range(n - 1, -1, -1)]
+    rankings += [[rng.below(max(n // 2, 1)) for _ in range(n)] for _ in range(5)]     # ties
+    rankings += [[rng.next64() - (1 << 63) for _ in range(n)],                        # int64
+                 [rng.next64() << 10 for _ in range(n)],                              # past it
+                 [rng.below(3) - 1 for _ in range(n)]]
+    errors = []
+    for ranking in rankings:
+        got = outcome(lambda n, r: Tournament.from_order(r), n, ranking)
+        assert got == outcome(lambda n, r: tournament_from_order(r), n, ranking), ranking
+        if got is None:
+            assert Tournament.from_order(ranking) == tournament_from_order(ranking)
+        errors.append(got)
+    assert any(errors) == (n >= 2)          # tied ranks raise once two vertices can tie
