@@ -35,6 +35,7 @@ from .ramsey.instances import (
     PairColoring,
     SetFamily,
     Tournament,
+    _row_masks,
     pair_count,
 )
 
@@ -82,8 +83,7 @@ def _outputs(seed: int, m: int) -> np.ndarray:
 
 
 def _pair_bits(n: int, seed: int) -> int:
-    low = (_outputs(seed, pair_count(n)) & np.uint64(1)).astype(np.uint8)
-    return int.from_bytes(np.packbits(low, bitorder="little").tobytes(), "little")
+    return _row_masks([_outputs(seed, pair_count(n)) & np.uint64(1)])[0]
 
 
 def make_coloring(n: int, seed: int) -> PairColoring:

@@ -1,9 +1,10 @@
 """Finite problem instances: pair colorings, tournaments, orders, families.
 
-Pairs {x, y} with x < y over [0, n) are indexed in the order
-(0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1); colorings and
-tournaments pack one bit per pair in that order.  For a tournament,
-bit 1 at pair (x, y) with x < y means the edge points x -> y.
+Pairs {x, y} with x < y over [0, n) are indexed in the order (0,1), (0,2),
+..., (n-2,n-1): the row-major upper triangle of the n x n grid.  Colorings
+and tournaments pack one bit per pair in that order; bit 1 at a tournament's
+pair (x, y), x < y, means the edge x -> y.  One numpy codec turns int masks
+into bool grid rows and back, a code being the mask of its one-row grid.
 
 File formats (one instance per file):
 
@@ -21,7 +22,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 __all__ = [
@@ -47,19 +48,30 @@ def pair_index(x: int, y: int, n: int) -> int:
     return x * (2 * n - x - 1) // 2 + (y - x - 1)
 
 
-@lru_cache(maxsize=64)
-def _pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
-    """The pairs (x, y), x < y, in pair order."""
-    return tuple(combinations(range(n), 2))
+@lru_cache(maxsize=4)
+def _upper(n: int):
+    """The n x n bool grid, True at the pairs (row-major: pair order), as a
+    read-only view, since the cache shares it."""
+    import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS
+    return np.broadcast_to(~np.tri(n, dtype=bool), (n, n))
 
 
 def _row_masks(grid) -> Tuple[int, ...]:
-    """Each row of a 2-d bool array as the int whose bit j is its cell j."""
+    """Each row of a 2-d array as the int whose bit j is set where cell j is true."""
     import numpy as np
-    packed = np.packbits(grid, axis=1, bitorder="little")
+    packed = np.packbits(np.asarray(grid, dtype=bool), axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return tuple(int.from_bytes(data[i * width:(i + 1) * width], "little")
                  for i in range(len(packed)))
+
+
+def _mask_grid(masks: Sequence[int], width: int):
+    """The bool grid whose row i is the low `width` bits of masks[i] (none wider)."""
+    import numpy as np
+    size = (width + 7) // 8
+    rows = b"".join(int(mask).to_bytes(size, "little") for mask in masks)
+    return np.unpackbits(np.frombuffer(rows, np.uint8).reshape(len(masks), size), axis=1,
+                         count=width, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)
@@ -82,16 +94,9 @@ class PairColoring:
     def adj(self) -> Tuple[int, ...]:
         """adj[x] is the bit mask of {y : f(x, y) = 1}, the color-1
         neighbors of x; computed on first use and kept on the instance."""
-        adj = [0] * self.n
-        table = _pair_table(self.n)
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            x, y = table[low.bit_length() - 1]
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-            bits ^= low
-        return tuple(adj)
+        grid = _upper(self.n).copy()        # its True cells, the pairs, take the code's bits
+        grid[grid] = _mask_grid([self.bits], pair_count(self.n))[0]
+        return _row_masks(grid | grid.T)
 
     @cached_property
     def out(self) -> Tuple[int, ...]:
@@ -103,7 +108,7 @@ class PairColoring:
 
     @classmethod
     def from_function(cls, n: int, fn) -> "PairColoring":
-        return cls(n, sum(1 << i for i, (x, y) in enumerate(_pair_table(n)) if fn(x, y)))
+        return cls(n, _row_masks([[*map(bool, starmap(fn, combinations(range(n), 2)))]])[0])
 
     def restrict(self, vertices: Sequence[int]) -> "PairColoring":
         """Induced coloring on the given vertices after re-indexing them
@@ -129,15 +134,10 @@ class Tournament:
                 raise ValueError("out mask wider than n")
             if (self.out[a] >> a) & 1:
                 raise ValueError(f"vertex {a} beats itself")
-        # every pair at once: the n x n matrix of bits against its transpose
-        import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS
-        width = (n + 7) // 8
-        rows = b"".join(int(mask).to_bytes(width, "little") for mask in self.out)
-        beats = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(n, width), axis=1,
-                              count=n, bitorder="little")
-        same = beats == beats.T         # n on the diagonal, two for each pair oriented
-        if np.count_nonzero(same) > n:  # both ways or neither
-            a, b = np.argwhere(np.triu(same, 1))[0].tolist()    # the first, row-major
+        beats = _mask_grid(self.out, n)       # every pair at once, against the transpose
+        same = (beats == beats.T) & _upper(n)   # the pairs oriented both ways or neither
+        if same.any():
+            a, b = (int(i[0]) for i in same.nonzero())      # the first, row-major
             raise ValueError(f"pair ({a},{b}) must be oriented exactly one way")
 
     def beats(self, a: int, b: int) -> bool:
@@ -151,8 +151,7 @@ class Tournament:
         return cls(n, PairColoring(n, bits).out)
 
     def to_bits(self) -> int:
-        out = self.out
-        return sum(1 << i for i, (x, y) in enumerate(_pair_table(self.n)) if (out[x] >> y) & 1)
+        return _row_masks([_mask_grid(self.out, self.n)[_upper(self.n)]])[0]
 
     @classmethod
     def from_order(cls, ranking: Sequence[int]) -> "Tournament":

@@ -43,6 +43,7 @@ from .ramsey.instances import (
     PairColoring,
     SetFamily,
     Tournament,
+    _upper,
     pair_count,
 )
 from .ramsey.oracles import has_transitive_of_size
@@ -99,7 +100,7 @@ def _out_mask_array(n: int, codes: np.ndarray) -> np.ndarray:
     """Out-masks of the tournaments with the given pair codes: row x holds
     out[x] for every code, as uint8 (n <= 8)."""
     out = np.zeros((n, len(codes)), dtype=np.uint8)
-    for i, (x, y) in enumerate(itertools.combinations(range(n), 2)):
+    for i, (x, y) in enumerate(np.argwhere(_upper(n)).tolist()):
         bit = ((codes >> i) & 1).astype(np.uint8)
         out[x] |= bit << y
         out[y] |= (bit ^ 1) << x

@@ -1,14 +1,23 @@
 """The instance-file bit writer as it tested one bit of the code at a
 time (quadratic in C(n,2) on a Python int), the `SetFamily` masks as
 they were built one element at a time, the `Tournament` checks with
-their per-pair loop, and `Tournament.from_order` with its n^2 double
-loop, kept verbatim as the reference for
+their per-pair loop, `Tournament.from_order` with its n^2 double loop,
+and the per-bit pair-code loops of `PairColoring.adj`,
+`PairColoring.from_function` and `Tournament.to_bits` over the cached
+table of pair tuples (with `restrict`, which calls that
+`from_function`), kept verbatim as the reference for
 `epsilon0.ramsey.instances._format_bits`,
 `epsilon0.ramsey.instances.SetFamily.__post_init__`,
-`epsilon0.ramsey.instances.Tournament.__post_init__` and
-`epsilon0.ramsey.instances.Tournament.from_order`."""
+`epsilon0.ramsey.instances.Tournament.__post_init__`,
+`epsilon0.ramsey.instances.Tournament.from_order` and the pair codec of
+`epsilon0.ramsey.instances`.  The methods are module functions here,
+taking the instance (or the class) as their first argument."""
 
-from epsilon0.ramsey.instances import Tournament, pair_count
+from functools import lru_cache
+from itertools import combinations
+from typing import Tuple
+
+from epsilon0.ramsey.instances import PairColoring, Tournament, pair_count
 
 
 def _format_bits(bits: int, n: int) -> str:
@@ -54,3 +63,40 @@ def tournament_from_order(ranking):
             if a != b and ranking[a] < ranking[b]:
                 out[a] |= 1 << b
     return Tournament(n, tuple(out))
+
+
+@lru_cache(maxsize=64)
+def _pair_table(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs (x, y), x < y, in pair order."""
+    return tuple(combinations(range(n), 2))
+
+
+def adj(self) -> Tuple[int, ...]:
+    """adj[x] is the bit mask of {y : f(x, y) = 1}, the color-1
+    neighbors of x; computed on first use and kept on the instance."""
+    adj = [0] * self.n
+    table = _pair_table(self.n)
+    bits = self.bits
+    while bits:
+        low = bits & -bits
+        x, y = table[low.bit_length() - 1]
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+        bits ^= low
+    return tuple(adj)
+
+
+def from_function(cls, n: int, fn) -> "PairColoring":
+    return cls(n, sum(1 << i for i, (x, y) in enumerate(_pair_table(n)) if fn(x, y)))
+
+
+def restrict(self, vertices) -> "PairColoring":
+    """Induced coloring on the given vertices after re-indexing them
+    to 0..k-1 in the listed (ascending) order."""
+    verts = list(vertices)
+    return from_function(PairColoring, len(verts), lambda a, b: self.color(verts[a], verts[b]))
+
+
+def to_bits(self) -> int:
+    out = self.out
+    return sum(1 << i for i, (x, y) in enumerate(_pair_table(self.n)) if (out[x] >> y) & 1)

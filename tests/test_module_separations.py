@@ -8,7 +8,9 @@ maximum search from a floor and define no search of their own.
 Each property has one checker, in `checkers.py`, which works on the
 instance masks and calls no per-pair `color`/`beats`/`pair_index`; the
 coloring -> tournament rule is written once, in `PairColoring.out`, besides
-the verifier's own score test.
+the verifier's own score test.  Pair codes are packed and unpacked in one
+place: no module of `src/` but `ramsey/instances.py` calls `packbits` or
+`unpackbits`, and no pair-tuple table is left there.
 Outside the package, `epsilon0.sweep` builds every report in one place:
 one `Report(...)` call and no per-kind `_sweep_<kind>` function.  Its
 exhaustive sweeps run on chunk kernels that call no scalar solver,
@@ -176,6 +178,14 @@ def test_the_coloring_to_tournament_rule_is_written_once():
                        if rule in line and f.lineno <= number <= f.end_lineno]
     assert total == 2
     assert sorted(places) == [("instances.py", "out"), ("solvers.py", "verify_trace")]
+
+
+def test_pair_codes_are_packed_and_unpacked_only_in_instances():
+    callers = sorted({path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+                      for name in _called_names(ast.parse(path.read_text()))
+                      if name in ("packbits", "unpackbits")})
+    assert callers == ["ramsey/instances.py"]
+    assert not hasattr(epsilon0.ramsey.instances, "_pair_table")
 
 
 def _sweep_definitions():
