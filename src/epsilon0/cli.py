@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from . import descent as descent_mod
 from . import enumeration as enum_mod
-from .generate import KINDS, generate
+from .generate import KINDS, SplitMix64, generate
 from .ordinal import (
     _format,
     compare,
@@ -130,51 +130,39 @@ def _cmd_descent(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _builtin_generator(style: str, b: int, d: int, seed: int):
-    """Deterministic stage generators for `enum run`."""
-    from .generate import SplitMix64
-
+    """The deterministic stages of `enum run` (style is one of argparse's choices)."""
     if style == "full":
         # Complete d-ary tree grown one level per stage.
-        def gen():
-            level = [()]
-            for _ in range(b):
-                nxt = []
-                for node in level:
-                    nxt.extend(node + (i,) for i in range(d))
-                yield nxt
-                level = nxt
-        return gen()
-    if style == "chain":
-        def gen():
-            node = ()
-            for _ in range(b):
-                node = node + (0,)
-                yield [node]
-        return gen()
-    if style == "random":
+        level = [()]
+        for _ in range(b):
+            level = [node + (i,) for node in level for i in range(d)]
+            yield level
+    elif style == "chain":
+        node = ()
+        for _ in range(b):
+            node = node + (0,)
+            yield [node]
+    else:
         rng = SplitMix64(seed)
-        def gen():
-            leaves = [()]
-            while leaves:
-                stage = []
-                new_leaves = []
-                for leaf in leaves:
-                    if len(leaf) >= b:
-                        continue
-                    kids = rng.below(d + 1)
-                    if kids == 0 and rng.bit():
-                        new_leaves.append(leaf)
-                        continue
-                    for i in range(kids):
-                        child = leaf + (i,)
-                        stage.append(child)
-                        new_leaves.append(child)
-                if not stage:
-                    return
-                yield stage
-                leaves = new_leaves
-        return gen()
-    raise ValueError(f"unknown style {style!r}")
+        leaves = [()]
+        while leaves:
+            stage = []
+            new_leaves = []
+            for leaf in leaves:
+                if len(leaf) >= b:
+                    continue
+                kids = rng.below(d + 1)
+                if kids == 0 and rng.bit():
+                    new_leaves.append(leaf)
+                    continue
+                for i in range(kids):
+                    child = leaf + (i,)
+                    stage.append(child)
+                    new_leaves.append(child)
+            if not stage:
+                return
+            yield stage
+            leaves = new_leaves
 
 
 def _cmd_enum(args) -> int:

@@ -13,8 +13,8 @@ platform:
 The state after i + 1 steps is seed + (i+1)*0x9E3779B97F4A7C15 mod 2^64,
 so output i (from 0) is the last three lines applied to it, and no
 output depends on another (Steele, Lea & Flood, OOPSLA 2014).  All four
-generators draw their outputs in that closed form, as one numpy uint64
-array pass whose products wrap mod 2^64; `SplitMix64` stays as the
+generators draw their outputs in that closed form, as numpy uint64
+array passes whose products wrap mod 2^64; `SplitMix64` stays as the
 stepwise stream.
 
 Colorings and tournaments draw one low bit per pair in pair order;
@@ -69,9 +69,14 @@ class SplitMix64:
         return self.next64() % bound
 
 
-def _outputs(seed: int, m: int) -> np.ndarray:
-    """The first m outputs of SplitMix64(seed), as one uint64 array."""
-    z = np.arange(1, m + 1, dtype=np.uint64)
+#: Outputs per numpy pass in `_pair_bits`, so a large coloring keeps one
+#: bool per pair and no uint64 array of its size.
+_BLOCK = 1 << 16
+
+
+def _outputs(seed: int, m: int, start: int = 0) -> np.ndarray:
+    """Outputs start .. start + m - 1 of SplitMix64(seed), as one uint64 array."""
+    z = np.arange(start + 1, start + m + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
     z += np.uint64(seed & _MASK64)
     z ^= z >> np.uint64(30)
@@ -83,7 +88,11 @@ def _outputs(seed: int, m: int) -> np.ndarray:
 
 
 def _pair_bits(n: int, seed: int) -> int:
-    return _row_masks([_outputs(seed, pair_count(n)) & np.uint64(1)])[0]
+    bits = np.empty((1, pair_count(n)), dtype=bool)
+    for start in range(0, bits.size, _BLOCK):
+        block = _outputs(seed, min(_BLOCK, bits.size - start), start)
+        bits[0, start:start + _BLOCK] = block & np.uint64(1)
+    return _row_masks(bits)[0]
 
 
 def make_coloring(n: int, seed: int) -> PairColoring:

@@ -245,12 +245,6 @@ def is_below(a: Ordinal, bound: Bound) -> bool:
 _SHALLOW = 6
 
 
-def _deep(a: Ordinal) -> bool:
-    """True when a is deeper than _SHALLOW."""
-    return bool(a and (a := a[0][0]) and (a := a[0][0]) and (a := a[0][0])
-                and (a := a[0][0]) and (a := a[0][0]) and a[0][0])
-
-
 def _order(a: Ordinal, b: Ordinal) -> int:
     """compare(a, b), for calls from inside this module (a traced or
     replaced `compare` stays one span per public call)."""
@@ -311,16 +305,10 @@ def std_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not a:
         return b
     lead, coeff = b[0]
-    i, n, rel = 0, len(a), 1
-    if lead and _deep(lead):
-        while i < n and (rel := _order(a[i][0], lead)) > 0:
-            i += 1
-        same = i < n and not rel
-    else:
-        while i < n and a[i][0] > lead:
-            i += 1
-        same = i < n and a[i][0] == lead
-    if same:
+    i, n = 0, len(a)
+    while i < n and (rel := _order(a[i][0], lead)) > 0:
+        i += 1
+    if i < n and not rel:
         return _raw(Ordinal, (*a[:i], (lead, _check_coeff(a[i][1] + coeff)), *b[1:]))
     return _raw(Ordinal, (*a[:i], *b))
 

@@ -243,7 +243,8 @@ def _em_core(out: Sequence[int], verts: Sequence[int], universe: int,
 
 def em_solve_masks(n: int, out: Sequence[int], w: int) -> Tuple[int, List[Tuple[int, int, int]], List[int]]:
     """Core of em_solve on raw out-masks; returns (subset mask, steps,
-    completions).  Kept allocation-light for exhaustive sweeps."""
+    completions) and builds no EmResult.  Sampled tournament sweeps run it
+    per instance; exhaustive sweeps run the numpy kernels of `sweep`."""
     verts = range(n)
     _, chosen, steps, completed = _em_core(out, verts, (1 << n) - 1, _window_mask(n, verts, w))
     return chosen, steps, completed

@@ -1,4 +1,7 @@
-"""Shared test configuration.
+"""Shared test configuration: the hypothesis profile.  Shared helpers
+(the in-process `eps0` runner `run_cli`, `outcome` and the instances and
+generators several modules use) are in tests/support.py, imported by bare
+name like the `reference_*` modules.
 
 Set EPS0_FULL=1 to run the statistical property tests at their full
 quantified sizes; the default keeps the suite fast.

@@ -38,6 +38,10 @@ from epsilon0.sweep import (
     _CHUNK, _out_mask_array, _tournament_chunk, exhaustive_triple_ok,
     sweep, transitive_bound,
 )
+from support import (
+    brute_replay, chain_generator, exhaustive_logs, full_tree_generator, random_generator,
+    random_ordinal, rank_below,
+)
 
 o = parse_ordinal
 
@@ -128,61 +132,9 @@ def test_criterion_1_ordinal_algebra():
 # Criterion 2: the stream combiner against the stateless replayer
 # ---------------------------------------------------------------------------
 
-def _brute_replay(log):
-    values = []
-    for ev in log.events:
-        total = None
-        for e in range(log.k):
-            last = log.bound
-            for other in log.events:
-                if other.time <= ev.time and other.stream == e:
-                    last = other.value
-            total = last if total is None else nat_add(total, last)
-        values.append(total)
-    return values
-
-
-def _exhaustive_logs(bound, pool, k, max_events):
-    below = [v for v in pool if compare(v, bound) == LT]
-    for length in range(max_events + 1):
-        for streams in itertools.product(range(k), repeat=length):
-            def assign(pos, last):
-                if pos == length:
-                    yield []
-                    return
-                e = streams[pos]
-                for v in below:
-                    prev = last.get(e)
-                    if prev is not None and compare(v, prev) != LT:
-                        continue
-                    for rest in assign(pos + 1, {**last, e: v}):
-                        yield [StreamEvent(pos, e, v)] + rest
-            for events in assign(0, {}):
-                yield StreamEventLog(k=k, bound=bound, events=tuple(events))
-
-
 def _random_log(rng, max_k=5, max_events=50):
-    def random_ordinal(depth):
-        if depth == 0:
-            return from_int(rng.below(4))
-        total = ZERO
-        for _ in range(rng.below(3)):
-            total = nat_add(total, nat_mul_k(omega_pow(random_ordinal(depth - 1)),
-                                             rng.below(3) + 1))
-        return total
-
-    def shrink(a):
-        terms = list(a.terms)
-        exp, coeff = terms[-1]
-        if exp == ZERO:
-            if coeff > 1:
-                return type(a)(tuple(terms[:-1]) + ((ZERO, coeff - 1),))
-            return type(a)(tuple(terms[:-1])) if len(terms) > 1 else ZERO
-        lowered = terms[:-1] + ([(exp, coeff - 1)] if coeff > 1 else [])
-        return nat_add(type(a)(tuple(lowered)), from_int(rng.below(7)))
-
     k = rng.below(max_k) + 1
-    bound = nat_add(random_ordinal(3), from_int(1))
+    bound = nat_add(random_ordinal(rng, 3), from_int(1))
     current = [bound] * k
     events = []
     t = 0
@@ -190,7 +142,7 @@ def _random_log(rng, max_k=5, max_events=50):
         e = rng.below(k)
         if current[e] == ZERO:
             continue
-        value = shrink(current[e])
+        value = rank_below(current[e], rng)
         events.append(StreamEvent(t, e, value))
         current[e] = value
         t += rng.below(3) + 1
@@ -205,9 +157,9 @@ def test_criterion_2_gamma_combiner():
     checked = 0
     for bound in (from_int(2), o("w"), o("w + 2"), o("w*2"), o("w*2 + 1"), o("w*3")):
         for k in (1, 2):
-            for log in _exhaustive_logs(bound, pool, k, 4):
+            for log in exhaustive_logs(bound, pool, k, 4):
                 trace = gamma_combine(log)
-                if list(trace.values) != _brute_replay(log):
+                if list(trace.values) != brute_replay(log):
                     ok = False
                 if trace.bound != nat_mul_k(bound, k):
                     ok = False
@@ -233,17 +185,6 @@ def test_criterion_2_gamma_combiner():
 # Criterion 3: termination measures
 # ---------------------------------------------------------------------------
 
-def _rank_below(r, rng):
-    terms = list(r.terms)
-    exp, coeff = terms[-1]
-    if exp == ZERO:
-        if coeff > 1:
-            return type(r)(tuple(terms[:-1]) + ((ZERO, coeff - 1),))
-        return type(r)(tuple(terms[:-1])) if len(terms) > 1 else ZERO
-    lowered = terms[:-1] + ([(exp, coeff - 1)] if coeff > 1 else [])
-    return nat_add(type(r)(tuple(lowered)), from_int(rng.below(7)))
-
-
 def test_criterion_3_zeta_measures():
     started = time.monotonic()
     ok = True
@@ -260,7 +201,7 @@ def test_criterion_3_zeta_measures():
                 for i in range(rng.below(4)):
                     child = leaf + (i,)
                     additions[child] = None
-                    ranks[child] = _rank_below(ranks[leaf], rng)
+                    ranks[child] = rank_below(ranks[leaf], rng)
             result = step(enum, additions)
             assert isinstance(result, MonotoneEnumeration)
             enum = result
@@ -312,41 +253,6 @@ def test_criterion_3_zeta_measures():
 # Criterion 4: bounded monotone enumerations halt within the static bound
 # ---------------------------------------------------------------------------
 
-def _full_gen(b, d):
-    level = [()]
-    for _ in range(b):
-        nxt = []
-        for node in level:
-            nxt.extend(node + (i,) for i in range(d))
-        yield {n: None for n in nxt}
-        level = nxt
-
-
-def _chain_gen(b):
-    node = ()
-    for _ in range(b):
-        node = node + (0,)
-        yield {node: None}
-
-
-def _random_gen(b, d, rng):
-    leaves = [()]
-    while leaves:
-        stage = {}
-        nxt = []
-        for leaf in leaves:
-            if len(leaf) >= b:
-                continue
-            for i in range(rng.below(d + 1)):
-                child = leaf + (i,)
-                stage[child] = None
-                nxt.append(child)
-        if not stage:
-            return
-        yield stage
-        leaves = nxt
-
-
 def _adversaries():
     """20 stage scripts whose final stage re-extends a non-terminal node
     (or re-enumerates an existing one); each must be rejected with
@@ -381,9 +287,9 @@ def test_criterion_4_bounded_enumeration():
     for b in range(1, 5):
         for d in range(1, 5):
             limit = (d + 1) ** (b + 1)
-            outcomes = [run_to_finiteness(_full_gen(b, d), b, d, fuel=1000),
-                        run_to_finiteness(_chain_gen(b), b, d, fuel=1000)]
-            outcomes.extend(run_to_finiteness(_random_gen(b, d, rng), b, d, fuel=1000)
+            outcomes = [run_to_finiteness(full_tree_generator(b, d), b, d, fuel=1000),
+                        run_to_finiteness(chain_generator(b), b, d, fuel=1000)]
+            outcomes.extend(run_to_finiteness(random_generator(b, d, rng), b, d, fuel=1000)
                             for _ in range(5))
             for outcome in outcomes:
                 if not isinstance(outcome, Finished):

@@ -23,13 +23,7 @@ from epsilon0.generate import KINDS, generate
 from epsilon0.ramsey.instances import (
     format_coloring, format_family, format_order, format_tournament,
 )
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+from support import run_cli
 
 
 # ---------------------------------------------------------------------------

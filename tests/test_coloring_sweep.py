@@ -16,17 +16,14 @@ stage as `verify_trace` on the trace that the corrupted arrays describe.
 
 import hashlib
 import importlib
-import io
 import itertools
 import time
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import reference_sweep as ref
 
-from epsilon0.cli import main
 from epsilon0.ramsey import LinearOrderInstance, PairColoring
 from epsilon0.ramsey.instances import pair_count
 from epsilon0.ramsey.solvers import SolverTrace, rt22_solve, verify_trace
@@ -36,21 +33,10 @@ from epsilon0.sweep import (
     _longest_monotone, _monotone_runs, _order_rows, _patience, _trace_lines,
     _verify_coloring_chunk, sweep,
 )
+from support import run_cli, seeded_codes
 
 # the package exports the function `sweep` under the module's name
 SWEEP_MODULE = importlib.import_module("epsilon0.sweep")
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def _seeded_codes(n, count, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << pair_count(n), size=count, dtype=np.uint32)
 
 
 def _stage_of(check):
@@ -72,7 +58,7 @@ def test_coloring_kernel_matches_the_reference_on_every_code(n):
 
 @pytest.mark.parametrize("n, count, seed", [(7, 3000, 7), (8, 1500, 8)])
 def test_coloring_kernel_matches_the_reference_on_seeded_codes(n, count, seed):
-    codes = _seeded_codes(n, count, seed)
+    codes = seeded_codes(n, count, seed)
     for window in (None, 2):
         chunk = _coloring_chunk(n, codes, window)
         assert (_verify_coloring_chunk(n, codes, chunk) == 0).all()
@@ -169,18 +155,20 @@ def test_the_order_monotone_check_matches_the_reference_on_corrupted_chains(n):
     assert flagged > 0 or n < 2
 
 
-def test_chunk_boundaries_do_not_change_the_report(monkeypatch):
-    runs = [("coloring", 5, {"want_traces": True}), ("coloring", 6, {"window": 2}),
-            ("order", 7, {})]
+@pytest.mark.parametrize("kind, n, kw, formats", [
+    ("coloring", 5, {"want_traces": True}, ("summary", "tsv", "trace")),
+    ("coloring", 6, {"window": 2}, ("summary", "tsv", "trace")),
+    ("order", 7, {}, ("summary", "tsv", "trace")),
+    ("tournament", 6, {}, ("summary", "tsv")),
+])
+def test_chunk_boundaries_do_not_change_the_report(monkeypatch, kind, n, kw, formats):
     rows = (0, 5, 1500, 100_000)
-    whole = {(kind, n, r): sweep(kind, n, "exhaustive", max_rows=r, **kw)
-             for kind, n, kw in runs for r in rows}
+    whole = {r: sweep(kind, n, "exhaustive", max_rows=r, **kw) for r in rows}
     monkeypatch.setattr(SWEEP_MODULE, "_CHUNK", 1000)
-    for kind, n, kw in runs:
-        for r in rows:
-            chunked = sweep(kind, n, "exhaustive", max_rows=r, **kw)
-            for fmt in ("summary", "tsv", "trace"):
-                assert emit(chunked, fmt) == emit(whole[kind, n, r], fmt), (kind, n, r, fmt)
+    for r, report in whole.items():
+        chunked = sweep(kind, n, "exhaustive", max_rows=r, **kw)
+        for fmt in formats:
+            assert emit(chunked, fmt) == emit(report, fmt), (r, fmt)
 
 
 def test_failures_count_every_failed_check_across_chunks(monkeypatch):
@@ -216,7 +204,7 @@ def _corruptions(n, chunk):
 
 @pytest.mark.parametrize("n, codes", [
     (n, np.arange(1 << pair_count(n), dtype=np.uint32)) for n in range(1, 6)
-] + [(6, _seeded_codes(6, 1500, 6)), (7, _seeded_codes(7, 400, 7)), (8, _seeded_codes(8, 200, 8))],
+] + [(6, seeded_codes(6, 1500, 6)), (7, seeded_codes(7, 400, 7)), (8, seeded_codes(8, 200, 8))],
     ids=lambda value: str(value) if isinstance(value, int) else None)
 def test_the_verifier_flags_the_same_first_stage_as_verify_trace(n, codes):
     chunk = _coloring_chunk(n, codes, None)

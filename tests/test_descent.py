@@ -1,8 +1,6 @@
 """Descent traces and the k-stream combiner, checked against a stateless
 replayer and exhaustive small families."""
 
-import itertools
-
 import pytest
 
 from epsilon0.descent import (
@@ -12,9 +10,9 @@ from epsilon0.descent import (
     parse_descent_trace, parse_event_log, residual, validate_descent,
 )
 from epsilon0.ordinal import (
-    LT, OMEGA, ZERO, compare, from_int, nat_add, nat_mul_k, omega_pow,
-    parse_ordinal,
+    LT, OMEGA, ZERO, compare, from_int, nat_add, nat_mul_k, parse_ordinal,
 )
+from support import brute_replay, exhaustive_logs, random_ordinal
 
 o = parse_ordinal
 w = OMEGA
@@ -110,44 +108,6 @@ def test_gamma_rejects_malformed_logs():
         gamma_combine(above_bound)
 
 
-def brute_replay(log):
-    """Stateless oracle: at each event time recompute every stream's last
-    value by scanning the whole log, then natural-sum them."""
-    values = []
-    for ev in log.events:
-        total = ZERO if log.k else None
-        first = True
-        for e in range(log.k):
-            last = log.bound
-            for other in log.events:
-                if other.time <= ev.time and other.stream == e:
-                    last = other.value
-            total = last if first else nat_add(total, last)
-            first = False
-        values.append(total)
-    return values
-
-
-def exhaustive_logs(bound, pool, k, max_events):
-    """All well-formed logs with values from the pool, consecutive times."""
-    below = [v for v in pool if compare(v, bound) == LT]
-    for length in range(max_events + 1):
-        for streams in itertools.product(range(k), repeat=length):
-            def assignments(position, last_by_stream):
-                if position == length:
-                    yield []
-                    return
-                e = streams[position]
-                for v in below:
-                    prev = last_by_stream.get(e)
-                    if prev is not None and compare(v, prev) != LT:
-                        continue
-                    for rest in assignments(position + 1, {**last_by_stream, e: v}):
-                        yield [(position, e, v)] + rest
-            for events in assignments(0, {}):
-                yield make_log(k, bound, events)
-
-
 def test_gamma_matches_brute_oracle_exhaustively():
     pool = [ZERO, from_int(1), from_int(2), w, o("w + 1"), o("w + 2"),
             o("w*2"), o("w*2 + 1")]
@@ -185,20 +145,10 @@ def random_logs(count, max_k=5, max_events=50, seed=7):
     from epsilon0.generate import SplitMix64
 
     rng = SplitMix64(seed)
-
-    def random_ordinal(depth):
-        if depth == 0:
-            return from_int(rng.below(4))
-        total = ZERO
-        for _ in range(rng.below(3)):
-            total = nat_add(total, nat_mul_k(omega_pow(random_ordinal(depth - 1)),
-                                             rng.below(3) + 1))
-        return total
-
     made = 0
     while made < count:
         k = rng.below(max_k) + 1
-        bound = nat_add(random_ordinal(2), from_int(1))  # nonzero
+        bound = nat_add(random_ordinal(rng, 2), from_int(1))  # nonzero
         current = [bound] * k
         events = []
         t = 0

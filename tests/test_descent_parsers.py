@@ -7,42 +7,23 @@ error of the ordinal layer (an ArithmeticError).  The examples are drawn
 with `derandomize=True, database=None`, so a run writes no example
 database."""
 
-import io
-from contextlib import redirect_stderr, redirect_stdout
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsilon0.cli import main
 from epsilon0.descent import (
     DescentTrace, MalformedLogError, StreamEvent, StreamEventLog, format_descent_trace,
     format_event_log, parse_descent_trace, parse_event_log,
 )
-from epsilon0.ordinal import (
-    COEFF_LIMIT, ZERO, OrdinalOverflowError, from_int, nat_add, nat_mul_k, omega_pow,
-)
+from epsilon0.ordinal import COEFF_LIMIT, from_int
+from support import parses_or_raises_value_error, run_cli, sum_of_terms
 
 derandomized = settings(derandomize=True, database=None)
 
 
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def _sum_of_terms(pairs):
-    total = ZERO
-    for exp, coeff in pairs:
-        total = nat_add(total, nat_mul_k(omega_pow(exp), coeff))
-    return total
-
-
 ordinals = st.integers(0, COEFF_LIMIT).map(from_int) | st.recursive(
     st.integers(0, 9).map(from_int),
-    lambda inner: st.lists(st.tuples(inner, st.integers(1, 9)), max_size=3).map(_sum_of_terms),
+    lambda inner: st.lists(st.tuples(inner, st.integers(1, 9)), max_size=3).map(sum_of_terms),
     max_leaves=6)
 naturals = st.integers(0, 10 ** 6)
 
@@ -62,13 +43,6 @@ FORMATS = {
 }
 
 
-def _parses_or_raises_value_error(parse, text):
-    try:
-        parse(text)
-    except (ValueError, OrdinalOverflowError):
-        pass
-
-
 @pytest.mark.parametrize("kind", FORMATS)
 @derandomized
 @given(data=st.data())
@@ -82,14 +56,14 @@ def test_parse_inverts_format(kind, data):
 @derandomized
 @given(text=st.text(max_size=60))
 def test_arbitrary_text_parses_or_raises_value_error(kind, text):
-    _parses_or_raises_value_error(FORMATS[kind][2], text)
+    parses_or_raises_value_error(FORMATS[kind][2], text)
 
 
 @pytest.mark.parametrize("kind", FORMATS)
 @derandomized
 @given(text=st.text(alphabet="kboundtev=w^()*+0123456789 \n", max_size=50))
 def test_log_like_text_parses_or_raises_value_error(kind, text):
-    _parses_or_raises_value_error(FORMATS[kind][2], text)
+    parses_or_raises_value_error(FORMATS[kind][2], text)
 
 
 @pytest.mark.parametrize("kind", FORMATS)
@@ -107,7 +81,7 @@ def test_one_character_mutations_parse_or_raise_value_error(kind, data):
         text = text[:pos] + char + text[pos:]
     else:
         text = text[:pos] + text[pos + 1:]
-    _parses_or_raises_value_error(parse, text)
+    parses_or_raises_value_error(parse, text)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,5 +1,7 @@
 """Monotone enumerations, boundedness, and the ordinal measures."""
 
+import inspect
+
 import pytest
 
 from epsilon0.enumeration import (
@@ -9,11 +11,14 @@ from epsilon0.enumeration import (
     parse_enumeration_log, parse_node, run_to_finiteness, step,
     zeta_decrease_check, zeta_measure, zeta_pair_measure,
 )
+from epsilon0.cli import _builtin_generator
 from epsilon0.generate import SplitMix64
 from epsilon0.ordinal import (
-    GT, LT, ZERO, compare, from_int, nat_add, nat_mul_k, omega_pow,
+    GT, LT, ZERO, compare, from_int, nat_mul_k, omega_pow,
     parse_ordinal,
 )
+from reference_cli import _builtin_generator as ref_builtin_generator
+from support import chain_generator, full_tree_generator, random_generator, rank_below
 
 o = parse_ordinal
 
@@ -80,16 +85,6 @@ def test_check_bounded_examples():
     assert check_bounded(MonotoneEnumeration.initial(), 0) is None
 
 
-def full_tree_generator(b, d):
-    level = [()]
-    for _ in range(b):
-        nxt = []
-        for node in level:
-            nxt.extend(node + (i,) for i in range(d))
-        yield {n: None for n in nxt}
-        level = nxt
-
-
 def test_run_full_binary_depth2():
     outcome = run_to_finiteness(full_tree_generator(2, 2), 2, 2, fuel=50)
     assert isinstance(outcome, Finished)
@@ -97,12 +92,7 @@ def test_run_full_binary_depth2():
 
 
 def test_run_deep_chain_halts_at_bound():
-    def chain_gen(b):
-        node = ()
-        for _ in range(b):
-            node = node + (0,)
-            yield {node: None}
-    outcome = run_to_finiteness(chain_gen(3), 3, 1, fuel=50)
+    outcome = run_to_finiteness(chain_generator(3), 3, 1, fuel=50)
     assert isinstance(outcome, Finished)
     assert len(outcome.enumeration.current) == 4  # root plus three levels
 
@@ -137,31 +127,33 @@ def test_run_fuel_exhaustion():
     assert isinstance(outcome, FuelExhausted)
 
 
+STYLES = ["full", "chain", "random"]
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_enum_run_stages_equal_the_closure_reference(style):
+    for b in range(5):
+        for d in range(5):
+            for seed in (0, 1, 7, 2**64 - 1):
+                got = list(_builtin_generator(style, b, d, seed))
+                assert got == list(ref_builtin_generator(style, b, d, seed)), (b, d, seed)
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("b, d", [(-1, 2), (2, -1), (-3, -3)])
+def test_enum_run_refuses_a_negative_bound_before_the_first_stage(style, b, d):
+    gen = _builtin_generator(style, b, d, 5)
+    with pytest.raises(ValueError, match="bound and branching must be non-negative"):
+        run_to_finiteness(gen, b, d, fuel=10)
+    assert inspect.getgeneratorstate(gen) == inspect.GEN_CREATED
+
+
 def test_node_count_bound_on_random_runs():
     rng = SplitMix64(99)
     for _ in range(1000):
         b = rng.below(4) + 1
         d = rng.below(4) + 1
-
-        def random_gen():
-            leaves = [()]
-            while leaves:
-                stage = {}
-                nxt = []
-                for leaf in leaves:
-                    if len(leaf) >= b:
-                        continue
-                    kids = rng.below(d + 1)
-                    for i in range(kids):
-                        child = leaf + (i,)
-                        stage[child] = None
-                        nxt.append(child)
-                if not stage:
-                    return
-                yield stage
-                leaves = nxt
-
-        outcome = run_to_finiteness(random_gen(), b, d, fuel=1000)
+        outcome = run_to_finiteness(random_generator(b, d, rng), b, d, fuel=1000)
         assert isinstance(outcome, Finished)
         assert len(outcome.enumeration.current) <= (d + 1) ** (b + 1)
 
@@ -237,24 +229,11 @@ def random_rank_decreasing_enumeration(rng, max_depth=6, max_branch=3):
             for i in range(rng.below(max_branch + 1)):
                 child = leaf + (i,)
                 additions[child] = None
-                ranks[child] = _rank_below(ranks[leaf], rng)
+                ranks[child] = rank_below(ranks[leaf], rng)
         e2 = step(e, additions)
         assert isinstance(e2, MonotoneEnumeration)
         e = e2
     return e, RankAssignment(ranks, bound)
-
-
-def _rank_below(r, rng):
-    """A strictly smaller ordinal: decrement a trailing finite part, or
-    step below a trailing limit term and pad with a small finite part."""
-    terms = list(r.terms)
-    exp, coeff = terms[-1]
-    if exp == ZERO:
-        if coeff > 1:
-            return type(r)(tuple(terms[:-1]) + ((ZERO, coeff - 1),))
-        return type(r)(tuple(terms[:-1])) if len(terms) > 1 else ZERO
-    lowered = terms[:-1] + ([(exp, coeff - 1)] if coeff > 1 else [])
-    return nat_add(type(r)(tuple(lowered)), from_int(rng.below(7)))
 
 
 def test_zeta_decrease_on_random_growth():

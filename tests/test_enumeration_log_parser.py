@@ -5,26 +5,16 @@ A coefficient past 64 bits raises OrdinalOverflowError, the documented
 error of the ordinal layer (an ArithmeticError); the CLI reports it the
 same way."""
 
-import io
-from contextlib import redirect_stderr, redirect_stdout
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from epsilon0.cli import main
 from epsilon0.enumeration import (
     ROOT, MonotoneEnumeration, RankAssignment, format_enumeration_log,
     parse_enumeration_log, step,
 )
-from epsilon0.ordinal import OMEGA, OrdinalOverflowError, from_int, nat_add, parse_ordinal
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+from epsilon0.ordinal import OMEGA, from_int, nat_add, parse_ordinal
+from support import parses_or_raises_value_error, run_cli
 
 
 @st.composite
@@ -50,13 +40,6 @@ def logs(draw):
     return enum, RankAssignment(ranks, bound)
 
 
-def _parses_or_raises_value_error(text):
-    try:
-        parse_enumeration_log(text)
-    except (ValueError, OrdinalOverflowError):
-        pass
-
-
 @given(log=logs())
 def test_parse_inverts_format(log):
     enum, ranks = log
@@ -68,12 +51,12 @@ def test_parse_inverts_format(log):
 
 @given(text=st.text(max_size=60))
 def test_arbitrary_text_parses_or_raises_value_error(text):
-    _parses_or_raises_value_error(text)
+    parses_or_raises_value_error(parse_enumeration_log, text)
 
 
 @given(text=st.text(alphabet="bound=rtsagdk w^()*+.-0123456789 \n#", max_size=50))
 def test_log_like_text_parses_or_raises_value_error(text):
-    _parses_or_raises_value_error(text)
+    parses_or_raises_value_error(parse_enumeration_log, text)
 
 
 @given(log=logs(), data=st.data())
@@ -88,7 +71,7 @@ def test_one_character_mutations_parse_or_raise_value_error(log, data):
         text = text[:pos] + char + text[pos:]
     else:
         text = text[:pos] + text[pos + 1:]
-    _parses_or_raises_value_error(text)
+    parses_or_raises_value_error(parse_enumeration_log, text)
 
 
 @pytest.mark.parametrize("text, lineno", [

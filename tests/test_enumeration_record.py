@@ -10,10 +10,8 @@ chain grown one node per stage over 1,500 stages is run and measured
 within a wall-clock budget.
 """
 
-import io
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 import epsilon0.cli
 import epsilon0.enumeration
-from epsilon0.cli import main
 from epsilon0.enumeration import (
     MonotoneEnumeration, RankAssignment, format_enumeration_log, step,
 )
@@ -30,19 +27,13 @@ from epsilon0.ordinal import (
     MAX_DEPTH, ONE, ZERO, format_ordinal, from_int, nat_add, nat_mul_k, omega_pow, tower,
 )
 from reference_measures import ref_cmd_enum_measure
+from support import run_cli
 
 #: The least rank whose w-power is past MAX_DEPTH, and the bound of every log.
 DEEP = tower(ZERO, MAX_DEPTH)
 BOUND = nat_mul_k(DEEP, 3)
 SHALLOW_RANKS = [ZERO, ONE, from_int(2), from_int(30)]
 DEEP_RANKS = [DEEP, nat_add(DEEP, ONE)]
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_equality_hash_and_repr_come_from_the_deltas():

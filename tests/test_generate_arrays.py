@@ -4,19 +4,18 @@
 wrapping silently, so every warning here is an error."""
 
 import importlib
-import io
 import random
-from contextlib import redirect_stderr, redirect_stdout
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference_generate as ref
-from epsilon0.cli import main
 from epsilon0.generate import KINDS, SplitMix64, _outputs
 from epsilon0.ramsey.instances import format_family
 from epsilon0.report import FORMATS, emit
 from epsilon0.sweep import sweep
+from support import outcome, run_cli
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -30,27 +29,14 @@ RANDOM_SEEDS = [_RNG.getrandbits(64) for _ in range(50)]
 MAKERS = ("make_coloring", "make_tournament", "make_order", "make_family")
 
 
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def outcome(call, *args):
-    """The value of call(*args), or the type and text of what it raised."""
-    try:
-        return "value", call(*args)
-    except Exception as exc:  # the reference decides which errors are right
-        return type(exc).__name__, str(exc)
-
-
 @pytest.mark.parametrize("seed", EDGE_SEEDS + RANDOM_SEEDS)
 def test_outputs_equal_the_stepwise_stream(seed):
     rng = SplitMix64(seed)
+    stream = [rng.next64() for _ in range(1000)]
     outputs = _outputs(seed, 1000)
     assert outputs.dtype == np.uint64
-    assert outputs.tolist() == [rng.next64() for _ in range(1000)]
+    assert outputs.tolist() == stream
+    assert _outputs(seed, 7, 990).tolist() == stream[990:997]
 
 
 def test_random_seeds_are_distinct_and_reach_both_halves():
@@ -63,6 +49,25 @@ def test_random_seeds_are_distinct_and_reach_both_halves():
 def test_generators_equal_the_reference(maker, n):
     for seed in EDGE_SEEDS + RANDOM_SEEDS[:5]:
         assert outcome(getattr(gen, maker), n, seed) == outcome(getattr(ref, maker), n, seed)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_pair_bits_drawn_in_blocks_equal_the_reference(block, monkeypatch):
+    monkeypatch.setattr(gen, "_BLOCK", block)
+    for n in [0, 1, 2, 5, 6, 9] + [362, 363] * (block > 7):    # C(363, 2) > 2^16
+        for seed in EDGE_SEEDS[:3]:
+            assert gen.make_coloring(n, seed) == ref.make_coloring(n, seed)
+            assert gen.make_tournament(n, seed) == ref.make_tournament(n, seed)
+
+
+def test_a_large_coloring_keeps_about_one_byte_per_pair():
+    tracemalloc.start()
+    try:
+        gen.make_coloring(3000, 1)                 # C(3000, 2) = 4.5M pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000_000
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 64])

@@ -1,12 +1,8 @@
 """Seeded generation, reports, sweeps, and the command-line front end."""
 
-import io
-import json
-from contextlib import redirect_stderr, redirect_stdout
-
 import pytest
 
-from epsilon0.cli import main, parse_family, format_family
+from epsilon0.cli import parse_family, format_family
 from epsilon0.generate import (
     SplitMix64, generate, make_coloring, make_family, make_order,
     make_tournament,
@@ -15,13 +11,7 @@ from epsilon0.ramsey import SolverTrace, verify_trace
 from epsilon0.ramsey.instances import parse_coloring
 from epsilon0.report import Report, emit, parse_tsv, summarize
 from epsilon0.sweep import sweep
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+from support import run_cli
 
 
 # ---------------------------------------------------------------------------

@@ -2,30 +2,22 @@
 ValueError (and, from the CLI, `error: ...` with exit code 1)."""
 
 import hashlib
-import io
 import random
 import time
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_instances as ref
-from epsilon0.cli import format_family, main, parse_family
+from epsilon0.cli import format_family, parse_family
 from epsilon0.generate import make_coloring, make_tournament
 from epsilon0.ramsey.instances import (
     LinearOrderInstance, PairColoring, SetFamily, Tournament, _format_bits, format_coloring,
     format_order, format_tournament, pair_count, parse_coloring, parse_order,
     parse_tournament,
 )
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+from support import run_cli
 
 
 @st.composite

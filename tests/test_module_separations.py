@@ -27,6 +27,9 @@ no tree fold is left in `enumeration`, `nat_add` is used only where
 An enumeration stores its deltas and one current tree, no labels, and
 has one per-stage measure, `_stage_measures`, which both
 `zeta_decrease_check` and `eps0 enum measure` read.
+The tests write each helper once: no two modules under tests/ define the
+same top-level helper, and the `eps0` runner `run_cli` and `outcome` live
+in tests/support.py alone.
 """
 
 import ast
@@ -45,6 +48,7 @@ import epsilon0.ramsey.solvers
 
 RAMSEY = Path(epsilon0.ramsey.__file__).resolve().parent
 SRC = RAMSEY.parent
+TESTS = Path(__file__).resolve().parent
 # the package exports the function `sweep` under the module's name
 SWEEP = importlib.import_module("epsilon0.sweep")
 
@@ -315,3 +319,19 @@ def test_an_enumeration_is_its_deltas_and_has_one_stage_measure():
     assert not _mentions(cli, "stages") and not _mentions(cli, "zeta_measure")
     assert "_stage_measures" in _called_names(enumeration["zeta_decrease_check"])
     assert "_stage_measures" in _called_names(_functions(SRC / "cli.py")["_cmd_enum"])
+
+
+def test_each_test_helper_is_written_once():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))}
+    where = {}
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("test"):
+                body = node.body[ast.get_docstring(node) is not None:]
+                key = (ast.dump(node.args), *map(ast.dump, body))
+                where.setdefault(key, set()).add(name)
+    assert not [names for names in where.values() if len(names) > 1]
+    runners = sorted({name for name, tree in modules.items() for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name in ("run_cli", "outcome")})
+    assert runners == ["support.py"]

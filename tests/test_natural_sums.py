@@ -29,6 +29,7 @@ from reference_measures import (
     ref_gamma_combine, ref_run_to_finiteness, ref_zeta_decrease_check,
     ref_zeta_measure, ref_zeta_pair_measure,
 )
+from support import outcome
 
 derandomized = settings(derandomize=True, database=None)
 
@@ -46,14 +47,6 @@ COEFFS = st.one_of(
               st.integers(0, 3)))
 ORDINALS = st.dictionaries(st.sampled_from(EXPONENTS), COEFFS, max_size=3).map(
     lambda terms: Ordinal(sorted(terms.items(), reverse=True)))
-
-
-def outcome(f, *args):
-    """f's value, or its error's type and message."""
-    try:
-        return f(*args)
-    except Exception as exc:  # compared, not swallowed
-        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +88,7 @@ def test_gamma_combine_names_the_first_partial_coefficient_past_the_limit():
                [(0, OMEGA), (1, from_int(big - 3)), (2, from_int(2)), (0, from_int(10))])
     got = outcome(gamma_combine, log)
     assert got == outcome(ref_gamma_combine, log)
-    assert got == (OrdinalOverflowError, f"coefficient {big + 7} exceeds 64-bit limit")
+    assert got == (OrdinalOverflowError, f"coefficient {big + 7} exceeds 64-bit limit", None)
 
 
 def test_gamma_combine_names_the_silent_streams_product():
@@ -104,7 +97,7 @@ def test_gamma_combine_names_the_silent_streams_product():
     got = outcome(gamma_combine, log)
     assert got == outcome(ref_gamma_combine, log)
     assert got == (OrdinalOverflowError,
-                   f"coefficient {(COEFF_LIMIT // 2) * 3} exceeds 64-bit limit")
+                   f"coefficient {(COEFF_LIMIT // 2) * 3} exceeds 64-bit limit", None)
     # silent for good: the trace bound k * bound itself overflows
     silent = _log(3, bound, [])
     assert outcome(gamma_combine, silent) == outcome(ref_gamma_combine, silent)

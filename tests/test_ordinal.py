@@ -18,22 +18,17 @@ from epsilon0.ordinal import (
     iter_valid_indexes, nat_add, nat_mul_k, nat_mul_omega, omega_pow,
     pair, parse_ordinal, std_add, tower, unpair,
 )
+from support import sum_of_terms
 
 o = parse_ordinal
 
 
 def ordinals(max_depth: int = 3):
     """Canonical ordinals built by natural-summing single terms."""
-    def build(pairs):
-        total = ZERO
-        for exp, coeff in pairs:
-            total = nat_add(total, nat_mul_k(omega_pow(exp), coeff))
-        return total
-
     base = st.integers(0, 9).map(from_int)
     strat = base
     for _ in range(max_depth):
-        strat = st.lists(st.tuples(strat, st.integers(1, 9)), max_size=3).map(build)
+        strat = st.lists(st.tuples(strat, st.integers(1, 9)), max_size=3).map(sum_of_terms)
     return strat
 
 

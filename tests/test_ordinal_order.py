@@ -33,6 +33,7 @@ from epsilon0.ordinal import (
     from_int, is_below, nat_add, nat_mul_k, nat_mul_omega, omega_pow, parse_ordinal,
     std_add, tower,
 )
+from support import outcome
 
 SMALL = []
 for _i in range(10_000):
@@ -46,14 +47,6 @@ FINITE = [ZERO, ONE] + [from_int(n) for n in (2, 3, 5, 8, 1000, COEFF_LIMIT)]
 #: Transfinite bases, depths 2 and 3.
 TRANSFINITE = [OMEGA, nat_add(OMEGA, ONE), omega_pow(from_int(2)), omega_pow(OMEGA),
                nat_add(omega_pow(OMEGA), nat_mul_k(OMEGA, 3))]
-
-
-def outcome(f, *args):
-    """f's value, or its error's type and message."""
-    try:
-        return f(*args)
-    except Exception as exc:  # compared, not swallowed
-        return type(exc), str(exc)
 
 
 def assert_pairs_agree(values):

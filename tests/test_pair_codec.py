@@ -9,30 +9,21 @@ a sampled tournament sweep at n = 3,000 through `main`, `adj` and
 after an `adj`."""
 
 import gc
-import io
 import random
 import time
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import reference_instances as ref
-from epsilon0.cli import main
 from epsilon0.generate import make_coloring, make_tournament
 from epsilon0.ramsey.instances import (
     PairColoring, Tournament, _upper, pair_count, parse_coloring, parse_tournament,
 )
+from support import outcome, run_cli
 
 SIZES = [0, 1, 2, 7, 8, 9, 63, 64, 65]
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 def codes(n):
@@ -43,13 +34,6 @@ def codes(n):
     found += [rng.getrandbits(m) for _ in range(20)]
     found += [make_coloring(n, seed).bits for seed in range(5) if n]
     return found
-
-
-def outcome(call):
-    try:
-        return call()
-    except Exception as exc:  # every exception is part of the comparison
-        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -21,15 +21,7 @@ from epsilon0.ramsey.solvers import em_solve, rt22_solve
 from reference_checkers import (
     ref_coloring_is_transitive, ref_is_homogeneous, ref_is_transitive,
 )
-
-
-def pentagon():
-    return PairColoring.from_function(5, lambda x, y: abs(x - y) in (1, 4))
-
-
-def three_cycle():
-    # 0 -> 1 -> 2 -> 0
-    return Tournament(3, (0b010, 0b100, 0b001))
+from support import pentagon, three_cycle
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from epsilon0.ramsey import (
 from epsilon0.ramsey.instances import pair_count
 from epsilon0.sweep import ascdesc_bound, verify_cohesive
 from reference_checkers import ref_coloring_is_transitive, ref_is_homogeneous
+from support import pentagon, three_cycle
 
 
 def family_from_coloring(f):
@@ -22,14 +23,6 @@ def family_from_coloring(f):
     for x in range(f.n):
         sets.append(frozenset(y for y in range(f.n) if y != x and f.color(x, y)))
     return SetFamily(f.n, tuple(sets))
-
-
-def pentagon():
-    return PairColoring.from_function(5, lambda x, y: abs(x - y) in (1, 4))
-
-
-def three_cycle():
-    return Tournament(3, (0b010, 0b100, 0b001))
 
 
 # ---------------------------------------------------------------------------

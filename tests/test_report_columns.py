@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import reference_report as ref
-from epsilon0.report import _WORDS, FORMATS, Report, _interned, emit
+from epsilon0.report import _WORDS, Report, _interned, emit
 from epsilon0.sweep import sweep
+from support import assert_emit_equals_the_reference
 
 UNBOUNDED = 1 << 62
 
@@ -15,11 +16,6 @@ EXHAUSTIVE = [("coloring", n) for n in (1, 2, 3, 5)] + [
     (kind, n) for kind in ("tournament", "order") for n in (0, 1, 2, 5)]
 SAMPLED = [("coloring", n) for n in (1, 2, 6)] + [
     (kind, n) for kind in ("tournament", "order", "family") for n in (0, 1, 2, 9)]
-
-
-def assert_emit_equals_the_reference(report):
-    for fmt in FORMATS:
-        assert emit(report, fmt) == ref.emit(report, fmt), fmt
 
 
 @pytest.mark.parametrize("max_rows", [0, 1, 7, UNBOUNDED])

@@ -32,6 +32,7 @@ from epsilon0.ordinal import (
     MAX_DEPTH, ONE, ZERO, Ordinal, OrdinalSyntaxError, _format, _parse, format_ordinal, from_int, nat_add,
     nat_mul_k, omega_pow, parse_ordinal,
 )
+from support import outcome
 
 derandomized = settings(derandomize=True, database=None, max_examples=200)
 
@@ -39,20 +40,11 @@ derandomized = settings(derandomize=True, database=None, max_examples=200)
 ALPHABET = "w^()+*0123456789 "
 
 
-def outcome(parse, text):
-    try:
-        value = parse(text)
-    except Exception as exc:  # every exception is part of the comparison
-        return type(exc), str(exc), getattr(exc, "position", None)
-    assert type(value) is Ordinal
-    return value
-
-
 def assert_document_reads_like_its_lines(lines):
     memo = {}
     for text in lines:
-        assert outcome(lambda t: _parse(t, memo), text) == \
-            outcome(reference_parser.parse_ordinal, text), text
+        new, old = outcome(_parse, text, memo), outcome(reference_parser.parse_ordinal, text)
+        assert new == old and type(new) is type(old), text
 
 
 def random_ordinal(rng, depth, width):

@@ -14,22 +14,18 @@ import pytest
 from epsilon0.generate import SplitMix64, make_order, make_tournament
 from epsilon0.ramsey.instances import Tournament
 from reference_instances import tournament_check, tournament_from_order
+from support import outcome
 
 SIZES = [0, 1, 2, 7, 8, 9, 63, 64, 65]
 
 
-def outcome(check, n, out):
-    try:
-        check(n, out)
-    except Exception as exc:  # every exception is part of the comparison
-        return type(exc), str(exc)
-    return None
-
-
 def assert_same(n, out):
-    new = outcome(lambda n, out: Tournament(n, tuple(out)), n, out)
-    assert new == outcome(tournament_check, n, tuple(out)), (n, out)
-    return new
+    """The reference's error for these masks, or None, after checking that
+    `Tournament` raises the same or builds one."""
+    old = outcome(tournament_check, n, tuple(out))
+    new = outcome(Tournament, n, tuple(out))
+    assert (None if isinstance(new, Tournament) else new) == old, (n, out)
+    return old
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -72,7 +68,8 @@ def test_malformed_masks_raise_as_the_reference(n):
 def test_every_pair_both_ways_names_pair_0_1():
     n = 9
     out = [((1 << n) - 1) & ~(1 << a) for a in range(n)]
-    assert assert_same(n, out) == (ValueError, "pair (0,1) must be oriented exactly one way")
+    assert assert_same(n, out) == (ValueError, "pair (0,1) must be oriented exactly one way",
+                                   None)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -86,9 +83,7 @@ def test_from_order_matches_the_double_loop(n):
                  [rng.below(3) - 1 for _ in range(n)]]
     errors = []
     for ranking in rankings:
-        got = outcome(lambda n, r: Tournament.from_order(r), n, ranking)
-        assert got == outcome(lambda n, r: tournament_from_order(r), n, ranking), ranking
-        if got is None:
-            assert Tournament.from_order(ranking) == tournament_from_order(ranking)
-        errors.append(got)
+        got = outcome(Tournament.from_order, ranking)
+        assert got == outcome(tournament_from_order, ranking), ranking
+        errors.append(not isinstance(got, Tournament))
     assert any(errors) == (n >= 2)          # tied ranks raise once two vertices can tie

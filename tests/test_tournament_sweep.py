@@ -8,13 +8,10 @@ an array of pair codes at once; each column is compared per code with
 
 import hashlib
 import importlib
-import io
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from epsilon0.cli import main
 from epsilon0.ramsey import Tournament
 from epsilon0.ramsey.instances import pair_count
 from epsilon0.ramsey.oracles import has_transitive_of_size, is_transitive_mask
@@ -24,16 +21,10 @@ from epsilon0.sweep import (
     _has_transitive, _out_mask_array, _score_ok, _tournament_chunk, sweep,
     transitive_bound,
 )
+from support import run_cli, seeded_codes
 
 # the package exports the function `sweep` under the module's name
 SWEEP_MODULE = importlib.import_module("epsilon0.sweep")
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def _check_kernel(n, codes, w):
@@ -49,11 +40,6 @@ def _check_kernel(n, codes, w):
         assert b_ok == has_transitive_of_size(r, bound), (n, code)
 
 
-def _seeded_codes(n, count, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 1 << pair_count(n), size=count, dtype=np.uint32)
-
-
 @pytest.mark.parametrize("n", range(0, 7))
 def test_kernel_matches_the_reference_on_every_small_code(n):
     _check_kernel(n, range(1 << pair_count(n)), default_window(n))
@@ -67,12 +53,12 @@ def test_kernel_matches_the_reference_for_every_window(n):
 
 @pytest.mark.parametrize("n, count, seed", [(7, 1 << 14, 7), (8, 1 << 12, 8)])
 def test_kernel_matches_the_reference_on_seeded_codes(n, count, seed):
-    _check_kernel(n, _seeded_codes(n, count, seed), default_window(n))
+    _check_kernel(n, seeded_codes(n, count, seed), default_window(n))
 
 
 def test_out_masks_match_tournament_from_bits():
     for n in range(0, 9):
-        codes = (_seeded_codes(n, 300, n) if n >= 7
+        codes = (seeded_codes(n, 300, n) if n >= 7
                  else np.arange(1 << pair_count(n), dtype=np.uint32))
         out = _out_mask_array(n, codes)
         assert out.dtype == np.uint8 and out.shape == (n, len(codes))
@@ -97,7 +83,7 @@ def test_transitive_subset_rules_match_the_oracle():
     # bound, where some tournaments (the 3-cycle, the Paley tournament on
     # 7 vertices) have no transitive subset of that size.
     cases = [(n, np.arange(1 << pair_count(n), dtype=np.uint32)) for n in range(0, 6)]
-    cases += [(7, _seeded_codes(7, 3000, 70)), (8, _seeded_codes(8, 3000, 80))]
+    cases += [(7, seeded_codes(7, 3000, 70)), (8, seeded_codes(8, 3000, 80))]
     paley7 = sum(1 << i for i, (x, y) in enumerate(
         (x, y) for x in range(7) for y in range(x + 1, 7)) if (y - x) % 7 in (1, 2, 4))
     cases.append((7, np.array([paley7], dtype=np.uint32)))
@@ -114,16 +100,6 @@ def test_transitive_subset_rules_match_the_oracle():
         _has_transitive(out, 5)
 
 
-def test_chunk_boundaries_do_not_change_the_report(monkeypatch):
-    whole = {rows: sweep("tournament", 6, "exhaustive", max_rows=rows)
-             for rows in (0, 5, 1500, 100_000)}
-    monkeypatch.setattr(SWEEP_MODULE, "_CHUNK", 1000)
-    for rows, report in whole.items():
-        chunked = sweep("tournament", 6, "exhaustive", max_rows=rows)
-        for fmt in ("summary", "tsv"):
-            assert emit(chunked, fmt) == emit(report, fmt), (rows, fmt)
-
-
 
 def test_failures_count_every_failed_check_across_chunks(monkeypatch):
     # No tournament with n <= 8 fails a check, so inject failures.
@@ -138,6 +114,7 @@ def test_failures_count_every_failed_check_across_chunks(monkeypatch):
     report = sweep("tournament", 5, "exhaustive", max_rows=7)
     assert report.failures == sum(1 for c in range(1024) if c % 3 == 0 or c % 5 == 0)
     assert [row[2:] for row in report.rows[:4]] == [(0, 0, 0), (1, 1, 1), (1, 1, 1), (0, 1, 0)]
+
 
 # sha256 of emit() on exhaustive tournament sweeps, pinned from the
 # per-code em_solve_masks loop the kernel replaced; keys (n, max_rows).

@@ -10,18 +10,14 @@ import pytest
 
 import reference_report as ref
 from epsilon0 import report as report_mod
-from epsilon0.report import FORMATS, Report, _interned, emit
+from epsilon0.report import Report, _interned, emit
 from epsilon0.sweep import sweep
+from support import assert_emit_equals_the_reference
 
 
 def sample_report(columns, cells, **fields):
     config = dict(kind="order", n=5, mode="sample", seed=1, count=len(cells[0]), failures=0)
     return Report(columns=tuple(columns), cells=tuple(cells), **{**config, **fields})
-
-
-def assert_emit_equals_the_reference(report, formats=FORMATS):
-    for fmt in formats:
-        assert emit(report, fmt) == ref.emit(report, fmt), fmt
 
 
 @pytest.mark.parametrize("max_rows", [9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001])
