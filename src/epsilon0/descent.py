@@ -15,7 +15,7 @@ Log file format (one log per file)::
     ...
 
 using the ordinal text grammar from `epsilon0.ordinal`, one text memo per
-log or trace: its values share the bound's few large exponents.
+log or trace: its values repeat the bound's few large top-level terms.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .ordinal import (
     OrdinalOverflowError,
     _format,
     _nat_sum,
-    _parse,
+    _read,
     compare,
     format_ordinal,
     nat_add,
@@ -184,8 +184,8 @@ def parse_event_log(text: str) -> StreamEventLog:
         if match is None:
             raise MalformedLogError(f"bad event line: {ln!r}")
         events.append(StreamEvent(int(match.group(1)), int(match.group(2)),
-                                  _parse(match.group(3), memo)))
-    return StreamEventLog(k=int(header.group(1)), bound=_parse(header.group(2), memo),
+                                  _read(match.group(3), memo)))
+    return StreamEventLog(k=int(header.group(1)), bound=_read(header.group(2), memo),
                           events=tuple(events))
 
 
@@ -209,5 +209,5 @@ def parse_descent_trace(text: str) -> DescentTrace:
     if not lines or not lines[0].startswith("bound="):
         raise ValueError("descent trace must start with a bound= line")
     memo = {}
-    bound = _parse(lines[0][len("bound="):], memo)
-    return DescentTrace(bound=bound, values=tuple(_parse(ln, memo) for ln in lines[1:]))
+    bound = _read(lines[0][len("bound="):], memo)
+    return DescentTrace(bound=bound, values=tuple(_read(ln, memo) for ln in lines[1:]))

@@ -44,7 +44,7 @@ from .ordinal import (
     Ordinal,
     _format,
     _nat_sum,
-    _parse,
+    _read,
     compare,
     from_int,
     omega_pow,
@@ -451,16 +451,16 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
     bound = OMEGA
     pending: Optional[List[Node]] = None
     expected_stage = 1
-    memo: Dict[str, Ordinal] = {}
+    memo: Dict[object, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         keyword = line.split(maxsplit=1)[0].split("=", 1)[0]
         if keyword == "bound":
-            bound = _parse(_line_fields(keyword, line, lineno)[0], memo)
+            bound = _read(_line_fields(keyword, line, lineno)[0], memo)
         elif keyword == "root":
-            ranks[ROOT] = _parse(_line_fields(keyword, line, lineno)[0], memo)
+            ranks[ROOT] = _read(_line_fields(keyword, line, lineno)[0], memo)
         elif keyword == "stage":
             if pending is not None:
                 result = step(enum, pending)
@@ -479,7 +479,7 @@ def parse_enumeration_log(text: str) -> Tuple[MonotoneEnumeration, RankAssignmen
             node = parse_node(node_text)
             pending.append(node)
             if rank_text is not None:
-                ranks[node] = _parse(rank_text, memo)
+                ranks[node] = _read(rank_text, memo)
         else:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if pending is not None:

@@ -40,7 +40,6 @@ term passes MAX_CODE_BITS bits.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, repeat
 from math import isqrt, log10
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
@@ -202,7 +201,7 @@ def from_int(n: int) -> Ordinal:
         raise ValueError("ordinals are non-negative")
     if n == 0:
         return ZERO
-    return Ordinal(((ZERO, _check_coeff(n)),))
+    return _raw(Ordinal, ((ZERO, _check_coeff(n)),))
 
 
 class _Top:
@@ -514,11 +513,16 @@ def decode(i: OrdinalIndex) -> Ordinal:
 # coefficient's overflow, then its value's depth.
 #
 # A document of many values (a log, a trace) is read and written with one
-# memo, private to that call, so each distinct top-level exponent is parsed
-# once and formatted once.  A group of more than one token that closes
-# without error is stored, with its term's depth, under its tokens; a later
-# group of the same tokens takes both and goes on after its ")", checks of
-# the term run.
+# memo, private to that call, so each distinct top-level term text is
+# parsed once and each distinct exponent formatted once.  `_read` splits a
+# value at its top-level "+" (a "+" is always a token of its own, and one
+# inside a group leaves its piece with more "(" than ")"), looks each
+# stripped term text up, and parses only the new ones, each alone; equal
+# exponents of one document are one object, so the terms merge on the same
+# monotone stack by identity.  Whatever does not fit (a piece that is not
+# one term alone, an unbalanced tail, a merge past COEFF_LIMIT) is parsed
+# whole by `_parse`, which gives the value or raises the error as for the
+# value alone.
 
 #: A token after the whitespace before it: "w^(", "0" (always alone, so "05"
 #: is 0 then 5), a number or another character.  `\s` is `str.isspace()`.
@@ -529,10 +533,6 @@ _TOKEN = re.compile(r"\s*(w\^\(|0|[1-9][0-9]*|\S)")
 _COEFF_DIGITS, _LONG = len(str(COEFF_LIMIT)), COEFF_LIMIT + 1
 _NONZERO = "numbers start with a nonzero digit"
 
-#: Nesting change of each token, to find the ")" that closes a group.
-_DELTA = {"w^(": 1, "(": 1, ")": -1}
-
-
 def _syntax_error(text: str, k: int, message: str) -> OrdinalSyntaxError:
     """The error at the k-th token of `text`, or at its end past the last."""
     starts = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
@@ -541,17 +541,14 @@ def _syntax_error(text: str, k: int, message: str) -> OrdinalSyntaxError:
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the ASCII grammar above; canonicalizes non-canonical input."""
-    return _parse(text, {})
+    return _parse(text)
 
 
-def _parse(text: str, memo: Dict[str, Tuple[Ordinal, int]]) -> Ordinal:
-    """parse_ordinal(text), reading top-level groups through `memo`
-    (their tokens joined by spaces -> value and the depth of w^value),
-    shared within one document."""
+def _parse(text: str) -> Ordinal:
+    """parse_ordinal(text): the one tokenizing parser."""
     toks = _TOKEN.findall(text) + [""]  # "" is the end of the text
     groups, terms, top, i = [], [], 0, 0    # the open groups' (terms, top); the innermost
                                             # ord's terms and its leading term's depth
-    level = None                        # nesting after each token, once a lookup needs it
     while True:
         tok = toks[i]
         i += 1
@@ -560,24 +557,12 @@ def _parse(text: str, memo: Dict[str, Tuple[Ordinal, int]]) -> Ordinal:
                 if toks[i + 1] != "(":
                     raise _syntax_error(text, i + 1, "expected '('")
                 i += 2
-            exp = None
-            if not groups:              # top level: every earlier group is closed
-                # a one-token group is read faster than it is looked up
-                start = i if toks[i] and toks[i + 1] != ")" else 0
-                if start and memo:
-                    if level is None:
-                        level = list(accumulate(map(_DELTA.get, toks, repeat(0))))
-                    if level[-1] == 0:  # balanced, so some ")" closes this group
-                        j = level.index(0, i)
-                        exp, depth = memo.get(" ".join(toks[i:j]), (None, 0))
-            if exp is None:
-                if len(groups) == MAX_DEPTH:
-                    _check_depth(MAX_DEPTH + 1)
-                groups.append((terms, top))
-                terms, top = [], 0
-                continue
-            i, lit, coeff = j + 1, "", 1
-        elif "0" < tok[:1] <= "9":
+            if len(groups) == MAX_DEPTH:
+                _check_depth(MAX_DEPTH + 1)
+            groups.append((terms, top))
+            terms, top = [], 0
+            continue
+        if "0" < tok[:1] <= "9":
             exp, lit, depth = ZERO, tok, 1
             coeff = int(tok) if len(tok) <= _COEFF_DIGITS else _LONG
         elif tok == "w":
@@ -624,9 +609,44 @@ def _parse(text: str, memo: Dict[str, Tuple[Ordinal, int]]) -> Ordinal:
             i += 1
             depth = top + 1
             terms, top = groups.pop()
-            if not groups and start:
-                memo[" ".join(toks[start:i - 1])] = value, depth
             exp, lit, coeff = value, "", 1
+
+
+def _read(text: str, memo: Dict[object, object]) -> Ordinal:
+    """parse_ordinal(text) for a value of a document, reading each distinct
+    top-level term text once through `memo` (term text -> (exponent,
+    coefficient), and exponent -> itself), shared within one document."""
+    parts = text.split("+")
+    terms, start, depth = [], 0, 0
+    for end, part in enumerate(parts, 1):
+        depth += part.count("(") - part.count(")")
+        if depth:                       # a "+" inside a group, or unbalanced
+            continue
+        piece = (part if end - start == 1 else "+".join(parts[start:end])).strip()
+        start = end
+        term = memo.get(piece)
+        if term is None:
+            try:
+                value = _parse(piece)
+            except (ValueError, ArithmeticError):
+                return _parse(text)     # raises as for the text alone
+            if len(value) != 1:
+                return _parse(text)
+            e, c = value[0]
+            term = memo[piece] = memo.setdefault(e, e), c
+        e, c = term
+        if terms and _order(terms[-1][0], e) <= 0:
+            while terms and _order(terms[-1][0], e) < 0:
+                terms.pop()
+            if terms and terms[-1][0] is e:
+                c += terms.pop()[1]
+                if c > COEFF_LIMIT:
+                    return _parse(text)
+                term = e, c
+        terms.append(term)
+    if depth:
+        return _parse(text)
+    return _raw(Ordinal, terms)
 
 
 def format_ordinal(a: Ordinal) -> str:

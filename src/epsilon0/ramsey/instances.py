@@ -114,7 +114,13 @@ class PairColoring:
         """Induced coloring on the given vertices after re-indexing them
         to 0..k-1 in the listed (ascending) order."""
         verts = list(vertices)
-        return PairColoring.from_function(len(verts), lambda a, b: self.color(verts[a], verts[b]))
+        k = len(verts)
+        if not all(type(v) is int and 0 <= v < self.n for v in verts) or len(set(verts)) < k:
+            # the pairs one by one, so that the first bad one names the error
+            return PairColoring.from_function(k, lambda a, b: self.color(verts[a], verts[b]))
+        adj = self.adj
+        grid = _mask_grid([adj[v] for v in verts], self.n)[:, verts]
+        return PairColoring(k, _row_masks([grid[_upper(k)]])[0])
 
 
 @dataclass(frozen=True)

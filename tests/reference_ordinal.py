@@ -3,9 +3,19 @@ verbatim as the reference for the depth-aware versions in `epsilon0`:
 `compare` as two tuple orderings, and `nat_add` and `std_add` as merges
 and scans on tuple `<`, `>` and `==`.  Tuple order takes time quadratic in
 the depth two values share, so the tests run these only on values whose
-cost they can afford."""
+cost they can afford.  `from_int` is kept as it was built through the
+checking constructor, as the reference for the one that builds its single
+term directly."""
 
-from epsilon0.ordinal import Ordinal, _check_coeff, _raw
+from epsilon0.ordinal import ZERO, Ordinal, _check_coeff, _raw
+
+
+def from_int(n: int) -> Ordinal:
+    if n < 0:
+        raise ValueError("ordinals are non-negative")
+    if n == 0:
+        return ZERO
+    return Ordinal(((ZERO, _check_coeff(n)),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:

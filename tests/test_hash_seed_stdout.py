@@ -8,7 +8,9 @@ covers:
 - every `ord` op, and `compare`, `nat-add`, `add` and `eval` on deep
   towers, whose stdout must also be what `tests/reference_ordinal.py`
   computes;
-- `descent combine|validate` on seeded event logs and their traces;
+- `descent combine|validate` on seeded event logs and their traces, and
+  `descent combine` on a log of spaced and non-canonical terms, whose
+  stdout must also be what `tests/reference_parser.py` reads;
 - `enum check|measure|run` on seeded enumeration logs and every style;
 - every `ramsey` op on generated instance files;
 - `sweep` of every kind, exhaustive and sampled, in every format;
@@ -24,7 +26,10 @@ from pathlib import Path
 
 import epsilon0
 import reference_ordinal as ref
-from epsilon0.descent import format_descent_trace, format_event_log, gamma_combine
+import reference_parser
+from epsilon0.descent import (
+    StreamEvent, StreamEventLog, format_descent_trace, format_event_log, gamma_combine,
+)
 from epsilon0.generate import KINDS, generate
 from epsilon0.ordinal import (
     MAX_DEPTH, _SHALLOW, format_ordinal, from_int, nat_add, nat_mul_omega, tower,
@@ -90,6 +95,33 @@ def ord_corpus():
     return argvs, known
 
 
+#: A log whose lines write one exponent with other spacing and in sums
+#: that merge or absorb terms: a document memo keyed by both text and value.
+SPACED_LOG = [
+    "k=2 bound=w^(w^(2) + w)*3 + w^(w^(2) + w) + 5",
+    "t=0 e=0 v=w^( w^(2)+w )*2 + 1 + w^(2)",
+    "t=1 e=1 v=w^(w^(2) + w)*3 + w^(2)*4",
+    "t=2 e=0 v=w^(w^(2)+w) + w^(w^(2) + w) + w*3",
+    "t=3 e=1 v=  w^(w^(2) + w)*3+w*7  ",
+    "t=4 e=0 v=w^(w^(2) + w) + w ^ (2)*9",
+]
+
+
+def spaced_log_case(tmp_path):
+    """`descent combine` on SPACED_LOG and its stdout, from the values the
+    reference parser reads line by line: (argv, expected)."""
+    path = tmp_path / "spaced.txt"
+    path.write_text("\n".join(SPACED_LOG) + "\n")
+    k, bound = SPACED_LOG[0].split(" ", 1)
+    events = []
+    for line in SPACED_LOG[1:]:
+        t, e, v = line.split(" ", 2)
+        events.append(StreamEvent(int(t[2:]), int(e[2:]), reference_parser.parse_ordinal(v[2:])))
+    log = StreamEventLog(k=int(k[2:]), bound=reference_parser.parse_ordinal(bound[6:]),
+                         events=tuple(events))
+    return ["descent", "combine", str(path)], expected(format_descent_trace(gamma_combine(log)))
+
+
 def document_corpus(tmp_path):
     argvs = []
     for seed, k, depth in LOGS[:8]:
@@ -132,6 +164,8 @@ def ramsey_corpus(tmp_path):
 
 def test_every_verb_prints_the_same_under_two_hash_seeds(tmp_path):
     argvs, known = ord_corpus()
+    argv, known[len(argvs)] = spaced_log_case(tmp_path)
+    argvs.append(argv)
     argvs += document_corpus(tmp_path) + ramsey_corpus(tmp_path)
     argvs += [["sweep", *args.split(), "--format", fmt] for args in SWEEPS for fmt in FORMATS]
     argvs += [["generate", "--kind", kind, "--n", str(n), "--seed", "11"]

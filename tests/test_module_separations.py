@@ -17,9 +17,10 @@ exhaustive sweeps run on chunk kernels that call no scalar solver,
 checker or trace encoder per code, and the coloring kernel's verifier
 shares no helper with the kernel.
 Ordinal text has one parser, `epsilon0.ordinal._parse` (`parse_ordinal`
-is it with a fresh memo), which tokenizes with one regex: no character
-scanner is left, and the log parsers of `descent` and `enumeration` call
-it instead of a copy.
+calls it alone), which tokenizes with one regex: no character scanner is
+left.  The log parsers of `descent` and `enumeration` read their values
+through `ordinal._read`, which hands each new top-level term text to
+`_parse` and reads none of the grammar's tokens itself.
 A natural sum of many values is one exponent count, `ordinal._nat_sum`:
 no tree fold is left in `enumeration`, `nat_add` is used only where
 `gamma_combine` re-runs the one-by-one sum to name an overflow, and
@@ -278,11 +279,12 @@ def test_ordinal_text_has_one_tokenizing_parser():
                               for n in [node.left, *node.comparators])})
     assert readers == [("ordinal.py", "_parse")]
     assert _called_names(_functions(SRC / "ordinal.py")["parse_ordinal"]) == {"_parse"}
+    assert "_parse" in _called_names(_functions(SRC / "ordinal.py")["_read"])
     for module in (epsilon0.descent, epsilon0.enumeration):
-        assert module._parse is epsilon0.ordinal._parse
+        assert module._read is epsilon0.ordinal._read
         functions = _functions(Path(module.__file__))
         assert not [name for name in functions if "parse_ord" in name or "_term" in name]
-        assert any("_parse" in _called_names(f) for f in functions.values())
+        assert any("_read" in _called_names(f) for f in functions.values())
 
 
 def test_natural_sums_of_many_values_are_counted():

@@ -18,7 +18,8 @@ from epsilon0.ordinal import (
     iter_valid_indexes, nat_add, nat_mul_k, nat_mul_omega, omega_pow,
     pair, parse_ordinal, std_add, tower, unpair,
 )
-from support import sum_of_terms
+import reference_ordinal
+from support import outcome, sum_of_terms
 
 o = parse_ordinal
 
@@ -327,6 +328,17 @@ def test_invalid_constructions():
         Ordinal(((ZERO, 1), (ONE, 1)))  # exponents must strictly decrease
     with pytest.raises(ValueError):
         from_int(-3)
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 7, 10**6, COEFF_LIMIT - 1, COEFF_LIMIT, COEFF_LIMIT + 1, 2**63, 2**64, 10**40,
+    0, -1, -(2**63), True, False, 1.0, 0.0, 2.5, -1.5,
+])
+def test_from_int_equals_the_reference_with_its_errors(n):
+    new, old = outcome(from_int, n), outcome(reference_ordinal.from_int, n)
+    assert new == old and type(new) is type(old)
+    if isinstance(new, Ordinal) and new:
+        assert new[0][0] is ZERO and type(new[0][1]) is int
 
 
 def test_top_sentinel():

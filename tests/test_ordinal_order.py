@@ -29,7 +29,7 @@ import reference_ordinal as ref
 import reference_parser
 from epsilon0.ordinal import (
     COEFF_LIMIT, EQ, LT, MAX_DEPTH, OMEGA, ONE, ZERO, InvalidIndexError, Ordinal,
-    OrdinalOverflowError, _SHALLOW, _depth, _parse, compare, decode, format_ordinal,
+    OrdinalOverflowError, _SHALLOW, _depth, _read, compare, decode, format_ordinal,
     from_int, is_below, nat_add, nat_mul_k, nat_mul_omega, omega_pow, parse_ordinal,
     std_add, tower,
 )
@@ -190,7 +190,7 @@ def test_constructor_and_parser_order_deep_terms():
             expected = reference_parser.parse_ordinal(text)
             assert parse_ordinal(text) == expected
             memo = {}
-            assert _parse(text, memo) == _parse(text, memo) == expected
+            assert _read(text, memo) == _read(text, memo) == expected
 
 
 # ---------------------------------------------------------------------------

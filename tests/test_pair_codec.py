@@ -1,12 +1,12 @@
 """The pair codec of `epsilon0.ramsey.instances`: `PairColoring.adj`,
-`PairColoring.from_function` (and `restrict` through it) and
-`Tournament.to_bits` against their per-bit loops over the cached pair
-table (`tests/reference_instances.py`), at sizes around the byte and word
+`PairColoring.from_function`, `restrict` and `Tournament.to_bits` against
+their per-bit loops over the cached pair table
+(`tests/reference_instances.py`), at sizes around the byte and word
 boundaries of the packed codes, on seeded, all-zero and all-one codes.
 Then scale: `eps0 generate`, `ramsey solve`, `ramsey em` at n = 2,000 and
-a sampled tournament sweep at n = 3,000 through `main`, `adj` and
-`to_bits` in time linear in the pair count, and no pair table kept alive
-after an `adj`."""
+a sampled tournament sweep at n = 3,000 through `main`, `adj`, `to_bits`
+and `restrict` in time linear in the pair count, and no pair table kept
+alive after an `adj`."""
 
 import gc
 import random
@@ -164,6 +164,18 @@ def test_adj_and_to_bits_are_linear_in_the_pair_count():
     code, spent = timed(r.to_bits)
     assert spent < 0.5, spent
     assert code == bits
+
+
+def test_restrict_is_linear_in_the_pair_count():
+    f = make_coloring(2000, 3)
+    rng = random.Random(2)
+    for vertices in (range(300), rng.sample(range(2000), 300)):
+        g, spent = timed(lambda: f.restrict(vertices))
+        assert spent < 0.5, spent
+        assert g.n == 300
+        for a, b in ((rng.randrange(300), rng.randrange(300)) for _ in range(200)):
+            if a != b:
+                assert g.color(a, b) == f.color(vertices[a], vertices[b])
 
 
 def _kept_after(call):

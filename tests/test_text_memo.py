@@ -1,17 +1,20 @@
 """The per-document text memo of `epsilon0.ordinal` against per-line text.
 
-A document (an event log, a descent trace, an enumeration log, the
-`stage=... zeta=...` lines of `eps0 enum measure`) reads its values with
-one memo through `ordinal._parse`, and writes them with one memo through
-`ordinal._format`.  Every value read that way must equal what
+A document (an event log, a descent trace, an enumeration log) reads its
+values with one memo through `ordinal._read`, which looks up each
+top-level term text and hands only the texts it has not seen to the one
+tokenizing parser, `ordinal._parse`; documents (those and the
+`stage=... zeta=...` lines of `eps0 enum measure`) are written with one
+memo through `ordinal._format`.  Every value read that way must equal what
 `tests/reference_parser.py` reads from its line alone, and every error must
 have the same type, message and position; every text written must equal
 `format_ordinal` of the value alone.  Documents come from seeded event
 logs and enumeration logs, from a valid line followed by a one-character
-change of it, and from hand-picked texts: a malformed group whose tokens
-join without spaces into a stored one, and a group written with spaces
-that must take the stored value.  Hypothesis runs are derandomized, so a
-run writes no example database.
+change of it, and from hand-picked texts: malformed terms after stored
+ones, lines that `_read` hands whole to `_parse` (a term that is not one
+term alone, an unbalanced tail, a merge past the coefficient limit), and
+equal exponents written with other spacing, which must be one object.
+Hypothesis runs are derandomized, so a run writes no example database.
 """
 
 import inspect
@@ -28,9 +31,10 @@ from epsilon0.enumeration import (
     ROOT, RankAssignment, format_enumeration_log, format_node, parse_enumeration_log,
 )
 from epsilon0.generate import SplitMix64
+import epsilon0.ordinal
 from epsilon0.ordinal import (
-    MAX_DEPTH, ONE, ZERO, Ordinal, OrdinalSyntaxError, _format, _parse, format_ordinal, from_int, nat_add,
-    nat_mul_k, omega_pow, parse_ordinal,
+    COEFF_LIMIT, MAX_DEPTH, ONE, ZERO, Ordinal, OrdinalSyntaxError, _format, _read, format_ordinal,
+    from_int, nat_add, nat_mul_k, omega_pow, parse_ordinal,
 )
 from support import outcome
 
@@ -43,7 +47,7 @@ ALPHABET = "w^()+*0123456789 "
 def assert_document_reads_like_its_lines(lines):
     memo = {}
     for text in lines:
-        new, old = outcome(_parse, text, memo), outcome(reference_parser.parse_ordinal, text)
+        new, old = outcome(_read, text, memo), outcome(reference_parser.parse_ordinal, text)
         assert new == old and type(new) is type(old), text
 
 
@@ -200,23 +204,66 @@ def test_malformed_groups_after_stored_ones_raise_as_the_reference(lines):
 
 def test_a_group_that_joins_into_a_stored_key_still_raises():
     memo = {}
-    _parse("w^(12)", memo)
+    _read("w^(12)", memo)
     with pytest.raises(OrdinalSyntaxError) as err:
-        _parse("w^(1 2)", memo)
+        _read("w^(1 2)", memo)
     assert (str(err.value), err.value.position) == ("expected ')' (at position 5)", 5)
 
 
-def test_a_group_written_with_spaces_takes_the_stored_value():
+def test_equal_exponents_read_from_differently_spaced_lines_are_one_object():
     memo = {}
-    first = _parse("w^(w^(3) + w*2 + 1)*4 + 2", memo)
-    assert len(memo) == 1
-    spaced = _parse("w ^ ( w^(3)+w * 2+ 1 ) * 5", memo)
-    assert spaced[0][0] is first[0][0]
-    assert spaced == reference_parser.parse_ordinal("w ^ ( w^(3)+w * 2+ 1 ) * 5")
-    assert len(memo) == 1
-    # an inner "w ^ (" is other tokens than "w^(": a new key, an equal value
-    inner = _parse("w^(w ^ (3) + w*2 + 1)", memo)
-    assert inner[0][0] == first[0][0] and len(memo) == 2
+    lines = ["w^(w^(3) + w*2 + 1)*4 + 2", "w ^ ( w^(3)+w * 2+ 1 ) * 5",
+             "w^(w ^ (3) + w*2 + 1) + w^(w^(3) + w*2 + 1)*2", "  w^(w^(3) + w*2 + 1)  "]
+    values = [_read(text, memo) for text in lines]
+    assert values == [reference_parser.parse_ordinal(text) for text in lines]
+    lead = values[0][0][0]
+    assert all(value[0][0] is lead for value in values)
+    assert values[2] == Ordinal([(lead, 3)])
+    # each distinct term text is stored once, every exponent once more under itself
+    assert sum(isinstance(key, str) for key in memo) == 6
+    assert [key for key in memo if not isinstance(key, str)] == [lead, ZERO]
+
+
+@pytest.mark.parametrize("lines", [
+    # a piece that is not one term alone
+    ["w", "0 + w", "w + 0", "0", " 0 ", "w + ", "+w", "w + + 1", ""],
+    # an unbalanced tail, and a "+" between groups that is not inside one
+    ["w^(w + 1) + w", "w^(w + 1", "w^(w + 1) + w^(2", "w) + (w", "w^(1) + 2) + (3"],
+    # a factor that the grammar does not take, and one past 64 bits
+    ["w^(2)*3", "w^(2)*3*4", "w^(2)*3 + w^(2)*3*4", "w*9223372036854775807*2",
+     "w^(2)*4611686018427387904*2", "w^(2) + w*99999999999999999999"],
+    # a merge past COEFF_LIMIT, and one just at it
+    [f"w^(w)*{COEFF_LIMIT} + w^(w)", f"w^(w)*{COEFF_LIMIT - 1} + w^(w)",
+     f"w^(w)*{COEFF_LIMIT} + 1 + w^(w)", f"5 + w^(w)*{COEFF_LIMIT} + 3 + w^(w)*2"],
+    # non-canonical sums: absorbed and merged terms
+    ["1 + w", "w^(1) + w", "w + w^(1) + w*3", "1 + 2 + w + w^(2) + 1", "w^(w) + w^(w^(1))"],
+    # the MAX_DEPTH towers, deep and spaced, alone and as a sum's terms
+    ["w^(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH, "w^(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1),
+     "w ^ (" * (MAX_DEPTH - 1) + "w" + ")" * (MAX_DEPTH - 1),
+     "w^(" * (MAX_DEPTH - 1) + "w" + ")" * (MAX_DEPTH - 1),
+     "w^(" * (MAX_DEPTH - 2) + "w" + ")" * (MAX_DEPTH - 2) + " + " +
+     "w^(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1)],
+])
+def test_lines_read_whole_by_the_parser_read_as_the_reference(lines):
+    assert_document_reads_like_its_lines(lines)
+    assert_document_reads_like_its_lines(lines[::-1])
+
+
+def test_a_term_shared_by_a_thousand_lines_is_tokenized_once(monkeypatch):
+    shared = "w^(w^(w^(2) + w*3 + 1)*2 + w^(4) + 7)"
+    texts, parse = [], epsilon0.ordinal._parse
+
+    def counting_parse(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(epsilon0.ordinal, "_parse", counting_parse)
+    lines = [f"t={t} e=0 v={shared} + w^({t % 5 + 1})*{t % 3 + 1} + {t % 7 + 1}" for t in range(1000)]
+    log = parse_event_log("\n".join([f"k=1 bound={shared}*2"] + lines) + "\n")
+    assert len(log.events) == 1000
+    assert texts.count(shared) == 1
+    assert len(texts) == len(set(texts)) < 30
+    assert log.bound[0][0] is log.events[0].value[0][0]
 
 
 @derandomized
@@ -251,6 +298,6 @@ def test_enum_measure_prints_format_ordinal_of_each_stage(tmp_path, seed):
 
 
 def test_the_memos_are_arguments_with_no_default():
-    for helper in (_parse, _format):
+    for helper in (_read, _format):
         memo = inspect.signature(helper).parameters["memo"]
         assert memo.default is inspect.Parameter.empty
