@@ -22,9 +22,6 @@ from .enumeration import (
     zeta_measure, zeta_decrease_check, zeta_pair_measure, extendible_node,
 )
 from . import ramsey
-# sweep before generate, though both import numpy: without cached bytecode,
-# sweep.py (the largest module) then compiles before numpy loads, which keeps
-# the peak RSS of `import epsilon0` about 1.6 MB lower than the other order
 from .sweep import sweep
 from .generate import SplitMix64, generate
 

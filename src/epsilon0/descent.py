@@ -29,6 +29,8 @@ from .ordinal import (
     LT,
     Ordinal,
     OrdinalOverflowError,
+    _SHALLOW,
+    _depth,
     _format,
     _nat_sum,
     _read,
@@ -147,6 +149,7 @@ def gamma_combine(log: StreamEventLog) -> DescentTrace:
     # One exponent -> coefficient count, k times the bound at first; an event
     # swaps the stream's previous value (the bound if silent) for its new one.
     counts = {e: c * log.k for e, c in log.bound}
+    deep = _depth(log.bound) > _SHALLOW + 1       # the exponents are one level less deep
     latest: Dict[int, Ordinal] = {}
     values: List[Ordinal] = []
     for ev in log.events:
@@ -156,7 +159,7 @@ def gamma_combine(log: StreamEventLog) -> DescentTrace:
             counts[e] = counts.get(e, 0) + c
         latest[ev.stream] = ev.value
         try:
-            values.append(_nat_sum(counts))
+            values.append(_nat_sum(counts, deep))
         except OrdinalOverflowError:  # redone one by one: names the first partial past the limit
             reduce(nat_add, latest.values(), nat_mul_k(log.bound, log.k - len(latest)))
             raise

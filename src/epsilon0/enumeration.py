@@ -42,6 +42,8 @@ from .ordinal import (
     LT,
     OMEGA,
     Ordinal,
+    _SHALLOW,
+    _depth,
     _format,
     _nat_sum,
     _read,
@@ -312,7 +314,8 @@ def zeta_measure(tree: LabeledTree, ranks: RankAssignment) -> Ordinal:
     """Bottom-up measure: leaves give w^rank, internal nodes the natural
     sum of their children, so the root's is the sum of w^rank over the
     leaves (in sorted, depth-first order).  Always below w^bound."""
-    return _nat_sum(Counter(omega_pow(ranks.get(leaf))[0][0] for leaf in tree.leaves()))
+    return _nat_sum(Counter(omega_pow(ranks.get(leaf))[0][0] for leaf in tree.leaves()),
+                    _depth(ranks.bound) > _SHALLOW)   # no rank is deeper than its bound
 
 
 @dataclass(frozen=True)
@@ -334,6 +337,7 @@ def _stage_measures(enum: MonotoneEnumeration, ranks: RankAssignment) -> Iterato
     """
     leaves: Dict[Node, Ordinal] = {}
     counts: Counter = Counter()
+    deep = _depth(ranks.bound) > _SHALLOW         # no rank is deeper than its bound
     for delta in enum.deltas:
         parents = {node[:-1] for node in delta if node}
         for parent in parents & leaves.keys():
@@ -344,7 +348,7 @@ def _stage_measures(enum: MonotoneEnumeration, ranks: RankAssignment) -> Iterato
         for node in sorted(delta - parents):
             leaves[node] = omega_pow(ranks.get(node))[0][0]
             counts[leaves[node]] += 1
-        yield _nat_sum(counts)
+        yield _nat_sum(counts, deep)
 
 
 def zeta_decrease_check(enum: MonotoneEnumeration, ranks: RankAssignment) -> ZetaCheckResult:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Union
 
-import numpy as np
+# numpy is imported by each function that builds an array, never at the top:
+# `import epsilon0` and the ordinal verbs then load none (see README.md).
 
 from .ramsey.instances import (
     LinearOrderInstance,
@@ -76,6 +77,7 @@ _BLOCK = 1 << 16
 
 def _outputs(seed: int, m: int, start: int = 0) -> np.ndarray:
     """Outputs start .. start + m - 1 of SplitMix64(seed), as one uint64 array."""
+    import numpy as np
     z = np.arange(start + 1, start + m + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
     z += np.uint64(seed & _MASK64)
@@ -88,6 +90,7 @@ def _outputs(seed: int, m: int, start: int = 0) -> np.ndarray:
 
 
 def _pair_bits(n: int, seed: int) -> int:
+    import numpy as np
     bits = np.empty((1, pair_count(n)), dtype=bool)
     for start in range(0, bits.size, _BLOCK):
         block = _outputs(seed, min(_BLOCK, bits.size - start), start)
@@ -113,6 +116,7 @@ def make_order(n: int, seed: int) -> LinearOrderInstance:
 
 
 def make_family(n: int, seed: int, m: int | None = None) -> SetFamily:
+    import numpy as np
     rows, cols = max(n if m is None else m, 0), max(n, 0)
     bits = (_outputs(seed, rows * cols) & np.uint64(1)).reshape(rows, cols).tolist()
     return SetFamily(n, tuple(frozenset(compress(range(cols), row)) for row in bits))

@@ -40,6 +40,7 @@ term passes MAX_CODE_BITS bits.
 from __future__ import annotations
 
 import re
+from functools import cmp_to_key
 from math import isqrt, log10
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
@@ -363,10 +364,18 @@ def nat_add(a: Ordinal, b: Ordinal) -> Ordinal:
     return _raw(Ordinal, out)
 
 
-def _nat_sum(counts: Mapping[Ordinal, int]) -> Ordinal:
+#: Sort key of (exponent, count) items by `_order` on the exponents.
+_by_exponent = cmp_to_key(lambda s, t: _order(s[0], t[0]))
+
+
+def _nat_sum(counts: Mapping[Ordinal, int], deep: bool = False) -> Ordinal:
     """The natural sum of w^e * counts[e]: the exponents sorted once,
-    descending, zero counts skipped and the rest checked as coefficients."""
-    terms = sorted([t for t in counts.items() if t[1]], key=itemgetter(0), reverse=True)
+    descending, zero counts skipped and the rest checked as coefficients.
+    The caller passes `deep` when an exponent may be deeper than _SHALLOW
+    (it knows a bound on their depth): those are sorted by `_order`, in
+    time linear in their depth, and the others by tuple order in C."""
+    terms = sorted([t for t in counts.items() if t[1]],
+                   key=_by_exponent if deep else itemgetter(0), reverse=True)
     return _raw(Ordinal, [(e, _check_coeff(c)) for e, c in terms])
 
 

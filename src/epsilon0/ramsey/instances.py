@@ -25,6 +25,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations, starmap
 from typing import FrozenSet, Optional, Sequence, Tuple
 
+# numpy is imported by each function that builds an array, never at the top:
+# `import epsilon0` and the ordinal verbs then load none (see README.md).
+
 __all__ = [
     "pair_index", "pair_count",
     "PairColoring", "Tournament", "LinearOrderInstance", "SetFamily",
@@ -52,7 +55,7 @@ def pair_index(x: int, y: int, n: int) -> int:
 def _upper(n: int):
     """The n x n bool grid, True at the pairs (row-major: pair order), as a
     read-only view, since the cache shares it."""
-    import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS
+    import numpy as np
     return np.broadcast_to(~np.tri(n, dtype=bool), (n, n))
 
 
@@ -162,7 +165,7 @@ class Tournament:
     @classmethod
     def from_order(cls, ranking: Sequence[int]) -> "Tournament":
         """Orientation where a beats b iff a comes earlier in the ranking."""
-        import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS
+        import numpy as np
         rank = np.array(ranking, dtype=object)          # Python's `<` on every pair
         return cls(len(rank), _row_masks(rank[:, None] < rank))
 
@@ -193,7 +196,7 @@ class SetFamily:
         """Every mask in one numpy pass: the elements of all sets in a row,
         each set's row of an m x n bool grid scattered at them, and the
         grid's `_row_masks`."""
-        import numpy as np      # at the top, it raised `import epsilon0`'s peak RSS 1.4 MB
+        import numpy as np
         sets, n = self.sets, self.n
         flat = np.array([x for s in sets for x in s])
         if flat.dtype.kind in "biu":

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+# numpy is imported by each function that builds an array, never at the top:
+# `import epsilon0` and the ordinal verbs then load none (see README.md).
 
 __all__ = ["Report", "summarize", "emit", "parse_tsv"]
 
@@ -53,6 +54,7 @@ class Report:
     @property
     def rows(self) -> List[Tuple]:
         """The cells as one tuple of Python values per row, codes as words."""
+        import numpy as np
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.cells]
         return list(zip(*([_WORDS[name][code] for code in column] if name in _WORDS else column
                           for name, column in zip(self.columns, columns))))
@@ -72,6 +74,7 @@ def summarize(columns: Sequence[str], cells: Sequence[Sequence]) -> Dict[str, in
     """Aggregates recomputed from the cells of each column (ints or their
     decimal strings): total, ok/failed counts from the `ok` column if
     present, and a size histogram from the `size` column."""
+    import numpy as np
     kept = len(cells[0]) if cells else 0
     out: Dict[str, int] = {"instances": kept}
     if "ok" in columns:
@@ -88,6 +91,7 @@ def summarize(columns: Sequence[str], cells: Sequence[Sequence]) -> Dict[str, in
 def _dense(key: np.ndarray, space: int) -> Tuple[np.ndarray, int]:
     """(the keys in [0, space) renumbered in order to [0, distinct), distinct),
     by marks in a bool array of `space` entries and their running count."""
+    import numpy as np
     present = np.zeros(space, dtype=bool)
     present[key] = True
     rank = np.cumsum(present) - 1
@@ -102,6 +106,7 @@ def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
     one key per row, renumbered by `_dense` whenever the key space would
     pass a small multiple of `rows` (by a sort if even that is too small).
     ValueError for a column that is not ints."""
+    import numpy as np
     if not rows:
         return [], np.zeros(0, dtype=np.intp)
     key, space, limit = np.zeros(rows, dtype=np.intp), 1, 8 * rows + 256
@@ -129,6 +134,7 @@ def _distinct(rows: int, columns: Sequence[Sequence], write: Callable[..., str]
 
 def _interned(rows: int, columns: Sequence[Sequence], write: Callable[..., str]) -> List[str]:
     """`write(*cells)` of every row, one string per distinct row (`_distinct`)."""
+    import numpy as np
     texts, inverse = _distinct(rows, columns, write)
     return np.array(texts, dtype=object)[inverse].tolist()
 
@@ -140,6 +146,7 @@ def _row_text(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
     `_WORDS` as their words) from a zero-padded table of the distinct tails'
     bytes; a mask of the same shape keeps the significant digits and each
     tail's true length, decoded once."""
+    import numpy as np
     rows, ids = len(cells[0]), cells[0]
     if not rows:
         return ""

@@ -31,10 +31,12 @@ is all that EXHAUSTIVE_PAIR_LIMIT admits); nothing scalar runs per code.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial, isqrt
 from typing import List, NamedTuple, Optional, Tuple
 
-import numpy as np
+# numpy is imported by each function that builds an array, never at the top:
+# `import epsilon0` and the ordinal verbs then load none (see README.md).
 
 from .generate import make_coloring, make_family, make_order, make_tournament
 from .ramsey.checkers import _cohesive_offender, _subset_mask, is_transitive
@@ -92,13 +94,19 @@ def verify_cohesive(family: SetFamily, result: CohResult) -> bool:
 #: Instance ids per numpy chunk of an exhaustive sweep.
 _CHUNK = 1 << 16
 
-#: Set bits of every uint8 value (np.bitwise_count needs numpy >= 2).
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+@lru_cache(maxsize=None)
+def _popcount():
+    """Set bits of every uint8 value, as a uint8 array (np.bitwise_count
+    needs numpy >= 2)."""
+    import numpy as np
+    return np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def _out_mask_array(n: int, codes: np.ndarray) -> np.ndarray:
     """Out-masks of the tournaments with the given pair codes: row x holds
     out[x] for every code, as uint8 (n <= 8)."""
+    import numpy as np
     out = np.zeros((n, len(codes)), dtype=np.uint8)
     for i, (x, y) in enumerate(np.argwhere(_upper(n)).tolist()):
         bit = ((codes >> i) & 1).astype(np.uint8)
@@ -111,11 +119,12 @@ def _score_ok(out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """is_transitive_mask per code: the within-`mask` out-degrees of the
     members are pairwise distinct, i.e. as many distinct degrees are seen
     as there are members."""
+    import numpy as np
     seen = np.zeros_like(mask)
     for v, row in enumerate(out):
         member = (mask >> v) & 1
-        seen |= (np.uint8(1) << _POPCOUNT.take(row & mask)) * member
-    return _POPCOUNT.take(seen) == _POPCOUNT.take(mask)
+        seen |= (np.uint8(1) << _popcount().take(row & mask)) * member
+    return _popcount().take(seen) == _popcount().take(mask)
 
 
 def _has_transitive(out: np.ndarray, k: int) -> np.ndarray:
@@ -123,6 +132,7 @@ def _has_transitive(out: np.ndarray, k: int) -> np.ndarray:
     vertices?  A transitive triple is a vertex and two it beats; a
     transitive quadruple is two vertices (its top two, oriented either
     way) and two that both beat.  k <= 4."""
+    import numpy as np
     n = len(out)
     if k <= 2:
         return np.full(out.shape[1], n >= k)
@@ -139,8 +149,9 @@ def _has_transitive(out: np.ndarray, k: int) -> np.ndarray:
 
 def _low_index(mask: np.ndarray, empty: int) -> np.ndarray:
     """The least vertex of each uint8 mask, `empty` for an empty one."""
+    import numpy as np
     low = mask & (~mask + np.uint8(1))
-    return np.where(mask != 0, _POPCOUNT.take(low - np.uint8(1)), empty)
+    return np.where(mask != 0, _popcount().take(low - np.uint8(1)), empty)
 
 
 def _em_passes(out: np.ndarray, universe, wmask) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,6 +161,7 @@ def _em_passes(out: np.ndarray, universe, wmask) -> Tuple[np.ndarray, np.ndarray
     the main-pass vertices, those of them with class side 1, and the
     result.  All codes step through the vertices in the same order as the
     scalar passes."""
+    import numpy as np
     universe = np.asarray(universe, dtype=np.uint8)
     reservoir = np.broadcast_to(universe, out.shape[1:])
     chosen = np.zeros(out.shape[1:], dtype=np.uint8)
@@ -184,6 +196,7 @@ def _tournament_chunk(n: int, codes: np.ndarray, w: int
 def exhaustive_triple_ok(n: int) -> np.ndarray:
     """For every n-vertex tournament code: does a transitive triple exist
     (some vertex beats two others)?"""
+    import numpy as np
     codes = np.arange(1 << pair_count(n), dtype=np.uint32)
     return _has_transitive(_out_mask_array(n, codes), 3)
 
@@ -198,6 +211,7 @@ def _patience(keys: np.ndarray, active: np.ndarray) -> Tuple[np.ndarray, np.ndar
     key), and `below`, one more than the highest top under key (0 if
     none); key n, at inactive positions, keeps the state.  A row keeps the
     chain of each top t in slot t + 1 of `chains`, slot 0 staying empty."""
+    import numpy as np
     m, n = keys.shape
     tops, key = np.ogrid[:1 << n, :n + 1]
     above = tops & -(1 << key)
@@ -211,7 +225,7 @@ def _patience(keys: np.ndarray, active: np.ndarray) -> Tuple[np.ndarray, np.ndar
         at = state + k
         chains[base + k + 1] = chains.take(base + below.take(at)) | np.uint8(1 << i)
         state = step.take(at)
-    return _POPCOUNT.take(state // (n + 1)), chains.take(base + below.take(state + n))
+    return _popcount().take(state // (n + 1)), chains.take(base + below.take(state + n))
 
 
 def _longest_monotone(keys: np.ndarray, active: np.ndarray
@@ -219,6 +233,7 @@ def _longest_monotone(keys: np.ndarray, active: np.ndarray
     """The solvers' `_longest_monotone` per row: (ascending, length, chain
     mask) of the longer of the longest ascending and descending runs,
     ties to ascending."""
+    import numpy as np
     up_len, up = _patience(keys, active)
     down_len, down = _patience(keys.shape[1] - 1 - keys, active)
     ascending = up_len >= down_len
@@ -248,6 +263,7 @@ def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _Colori
     as the in-degree within G1, and the longest monotone run of those
     ranks.  Raises rt22_solve's errors for n = 0 and for a negative window
     (naming |G0| of the chunk's first code)."""
+    import numpy as np
     if n < 1:
         raise ValueError("the coloring needs at least one vertex")
     out = _out_mask_array(n, codes)
@@ -256,7 +272,7 @@ def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _Colori
 
     def split(pool, mask):                        # the larger side, ties to side 1
         inside, outside = pool & mask, pool & ~mask
-        side = _POPCOUNT.take(inside) >= _POPCOUNT.take(outside)
+        side = _popcount().take(inside) >= _popcount().take(outside)
         return side, np.where(side, inside, outside)
 
     reservoir = np.full(len(codes), (1 << n) - 1, dtype=np.uint8)
@@ -266,7 +282,7 @@ def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _Colori
     thresholds = np.empty((n, len(codes)), dtype=np.uint8)
     for x, mask in enumerate(adj):
         _, cell = split(reservoir, mask)
-        short = (reservoir != 0) & (count + _POPCOUNT.take(cell) < n)
+        short = (reservoir != 0) & (count + _popcount().take(cell) < n)
         low = reservoir & (~reservoir + np.uint8(1))
         committed |= low * short
         count += short
@@ -275,7 +291,7 @@ def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _Colori
         thresholds[x] = _low_index(reservoir, n)
     g0 = committed | reservoir                    # target n commits the whole reservoir
 
-    size0 = _POPCOUNT.take(g0)
+    size0 = _popcount().take(g0)
     if window is None:
         w0 = np.array([default_window(k) for k in range(n + 1)], dtype=np.uint8).take(size0)
     elif window < 0:
@@ -288,7 +304,7 @@ def _coloring_chunk(n: int, codes: np.ndarray, window: Optional[int]) -> _Colori
     steps, step_sides, g1 = _em_passes(out, g0, wmask)
 
     members = ((g1[:, None] >> np.arange(n, dtype=np.uint8)) & 1).astype(bool)
-    rank = _POPCOUNT.take(g1 & ~out).astype(np.int8) - 1      # G1 vertices beating x
+    rank = _popcount().take(g1 & ~out).astype(np.int8) - 1      # G1 vertices beating x
     ascending, _, h = _longest_monotone(rank.T, members)
     rest = h & (h - np.uint8(1))
     first = out[_low_index(h, 0), np.arange(len(codes))]
@@ -308,6 +324,7 @@ def _verify_coloring_chunk(n: int, codes: np.ndarray, chunk: _ColoringChunk) -> 
     set and element, transitivity on increasing triples (equal colors on
     {x,y} and {y,z} force that color on {x,z}), monotonicity as one color
     on every pair of H, and the final color against the direction."""
+    import numpy as np
     color = {}
     for i, (x, y) in enumerate(itertools.combinations(range(n), 2)):
         color[x, y] = color[y, x] = ((codes >> i) & 1).astype(bool)
@@ -344,6 +361,7 @@ def _trace_lines(n: int, chunk: _ColoringChunk, kept: slice) -> List[str]:
     """SolverTrace.to_json of the codes `kept` of a chunk, written
     straight from the arrays: one f-string per distinct trace (637 among
     the 32,768 codes of n = 6), shared by every code that has it."""
+    import numpy as np
     def write(*fields):                           # in _ColoringChunk's order
         g0, sides, *thr, w0, steps, step_sides, g1, up, h, color = fields
         sides_text = ",".join(str(sides >> x & 1) for x in range(n))
@@ -362,10 +380,11 @@ def _coloring_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
                    want_traces: bool) -> Tuple[Tuple[np.ndarray, ...], List[str]]:
     """The exhaustive coloring sweep over the codes [lo, hi): the columns
     after `instance`, and the trace lines of the first `keep` if wanted."""
+    import numpy as np
     codes = np.arange(lo, hi, dtype=np.uint32)
     chunk = _coloring_chunk(n, codes, window)
     ok = _verify_coloring_chunk(n, codes, chunk) == 0
-    return ((*_POPCOUNT.take([chunk.g0, chunk.g1, chunk.h]), chunk.color,
+    return ((*_popcount().take([chunk.g0, chunk.g1, chunk.h]), chunk.color,
              *np.uint8([chunk.ascending, ok])),
             _trace_lines(n, chunk, slice(keep)) if want_traces else [])
 
@@ -373,14 +392,16 @@ def _coloring_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
 def _tournament_rows(n: int, lo: int, hi: int, window: int, keep: int,
                      want_traces: bool) -> Tuple[Tuple[np.ndarray, ...], List[str]]:
     """The exhaustive tournament sweep over the codes [lo, hi)."""
+    import numpy as np
     codes = np.arange(lo, hi, dtype=np.uint32)
     chosen, transitive, b_ok = _tournament_chunk(n, codes, window)
-    return (_POPCOUNT.take(chosen), *np.uint8([transitive, b_ok, transitive & b_ok])), []
+    return (_popcount().take(chosen), *np.uint8([transitive, b_ok, transitive & b_ok])), []
 
 
 def _monotone_runs(ranks: np.ndarray, chain: np.ndarray, ascending: np.ndarray) -> np.ndarray:
     """Per row: the ranks at the positions of `chain`, left to right,
     strictly rise where `ascending` holds and strictly fall elsewhere."""
+    import numpy as np
     ok = np.ones(len(ranks), dtype=bool)
     seen = np.zeros(len(ranks), dtype=bool)
     previous = np.zeros(len(ranks), dtype=np.int8)
@@ -396,6 +417,7 @@ def _permutations(n: int) -> np.ndarray:
     """The permutations of range(n) in `itertools.permutations` order, as
     int8 rows: for each first value f, f before those of range(n - 1)
     shifted past f."""
+    import numpy as np
     block = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n + 1):
         block = np.vstack([np.insert(block + (block >= f), 0, f, axis=1) for f in range(m)])
@@ -407,6 +429,7 @@ def _order_rows(n: int, lo: int, hi: int, window: Optional[int], keep: int,
     """The exhaustive order sweep over the permutations [lo, hi) in
     `itertools.permutations` order: ads_solve's sequence per ranking, its
     monotonicity checked against the ranking and the ceil(sqrt(n)) bound."""
+    import numpy as np
     ranks = _permutations(n)[lo:hi]
     ascending, size, chain = _longest_monotone(ranks, np.ones(ranks.shape, dtype=bool))
     monotone = _monotone_runs(ranks, chain, ascending)
@@ -474,6 +497,7 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
     window must be non-negative; one above the set it ranges over acts as
     the whole set.
     """
+    import numpy as np
     if mode not in ("exhaustive", "sample"):
         raise ValueError("mode must be 'exhaustive' or 'sample'")
     if count < 0:

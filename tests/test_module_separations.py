@@ -31,12 +31,21 @@ has one per-stage measure, `_stage_measures`, which both
 The tests write each helper once: no two modules under tests/ define the
 same top-level helper, and the `eps0` runner `run_cli` and `outcome` live
 in tests/support.py alone.
+numpy is imported only inside the functions that build arrays: no module
+of `src/` imports it at module level, and a fresh `import epsilon0`,
+`eps0 ord compare`, `eps0 descent combine` and `eps0 enum run` leave it
+unloaded (the peak RSS of a fresh `import epsilon0` is printed, not
+checked).
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import epsilon0.cli
@@ -232,7 +241,7 @@ def test_the_coloring_verifier_shares_no_helper_with_the_kernel():
     mentioned = {n.id for n in ast.walk(definitions["_verify_coloring_chunk"])
                  if isinstance(n, ast.Name)}
     assert not mentioned & {"_out_mask_array", "_patience", "_score_ok", "_window_mask",
-                            "_POPCOUNT", "default_window"}
+                            "_popcount", "default_window"}
 
 
 def test_exhaustive_sweeps_make_no_per_code_scalar_call():
@@ -337,3 +346,76 @@ def test_each_test_helper_is_written_once():
                       if isinstance(node, ast.FunctionDef)
                       and node.name in ("run_cli", "outcome")})
     assert runners == ["support.py"]
+
+
+def _imports_run_on_import(tree):
+    """The import statements that run when the module is imported: every
+    one outside a function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        todo += ast.iter_child_nodes(node)
+
+
+def test_no_module_imports_numpy_at_module_level():
+    def numpy_imports(tree):
+        return [node for node in tree if any(
+            (name or "").split(".")[0] == "numpy" for name in
+            ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+             else [node.module]))]
+
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not numpy_imports(_imports_run_on_import(tree)), path
+    # the reader sees the function-level imports it leaves out
+    everywhere = [n for n in ast.walk(ast.parse((SRC / "sweep.py").read_text()))
+                  if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert numpy_imports(everywhere)
+
+
+#: argv: an `eps0` command line, or none for a bare `import epsilon0`.
+#: Prints [exit code, numpy loaded, peak RSS in KiB] as JSON.  On Linux a
+#: child's ru_maxrss keeps its parent's high-water mark across exec, so the
+#: peak is the process's own VmHWM where /proc has it.
+START_UP = """
+import io, json, resource, sys
+from contextlib import redirect_stdout
+if sys.argv[1:]:
+    from epsilon0.cli import main
+    with redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+else:
+    import epsilon0
+    code = 0
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([code, "numpy" in sys.modules, peak]))
+"""
+
+
+def _start_up(*argv):
+    done = subprocess.run([sys.executable, "-c", START_UP, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_the_ordinal_verbs_load_no_numpy(tmp_path):
+    log = tmp_path / "log.txt"
+    log.write_text("k=2 bound=w^(2)\nt=1 e=0 v=w*3\nt=2 e=1 v=w + 5\nt=3 e=0 v=w\n")
+    code, loaded, peak_kib = _start_up()
+    assert (code, loaded) == (0, False)
+    print(f"import epsilon0: peak RSS {peak_kib / 1024:.1f} MB")
+    for argv in (["ord", "compare", "w^(w)", "w*2"], ["descent", "combine", str(log)],
+                 ["enum", "run", "--style", "full", "--depth", "2", "--branching", "2"]):
+        assert _start_up(*argv)[:2] == [0, False], argv
+    # an array-building verb does load it
+    assert _start_up("sweep", "--kind", "order", "--n", "3", "--exhaustive")[:2] == [0, True]

@@ -7,8 +7,10 @@ one.  Each Hypothesis test runs with `derandomize=True, database=None`
 and asserts the same value, or the same error type and message, on
 coefficients near COEFF_LIMIT, ranks at MAX_DEPTH, missing ranks, nodes
 with more than two children, idle stages and nodes added together with
-their children.  `run_to_finiteness`, which checks only each stage's
-delta, is compared with the driver that checks the whole tree.
+their children, and on towers around and far past `ordinal._SHALLOW` as
+exponents or ranks (sorted by the walk when the bound is that deep, by
+tuple order otherwise).  `run_to_finiteness`, which checks only each
+stage's delta, is compared with the driver that checks the whole tree.
 """
 
 import time
@@ -22,8 +24,8 @@ from epsilon0.enumeration import (
     run_to_finiteness, step, zeta_decrease_check, zeta_measure, zeta_pair_measure,
 )
 from epsilon0.ordinal import (
-    COEFF_LIMIT, MAX_DEPTH, OMEGA, ONE, ZERO, Ordinal, OrdinalOverflowError, from_int,
-    nat_add, nat_mul_k, omega_pow, tower,
+    COEFF_LIMIT, MAX_DEPTH, OMEGA, ONE, ZERO, Ordinal, OrdinalOverflowError, _SHALLOW,
+    format_ordinal, from_int, nat_add, nat_mul_k, omega_pow, parse_ordinal, tower,
 )
 from reference_measures import (
     ref_gamma_combine, ref_run_to_finiteness, ref_zeta_decrease_check,
@@ -45,8 +47,21 @@ COEFFS = st.one_of(
     st.builds(lambda top, below: top - below,
               st.sampled_from([COEFF_LIMIT, COEFF_LIMIT // 2 + 1, COEFF_LIMIT // 3 + 1]),
               st.integers(0, 3)))
-ORDINALS = st.dictionaries(st.sampled_from(EXPONENTS), COEFFS, max_size=3).map(
-    lambda terms: Ordinal(sorted(terms.items(), reverse=True)))
+
+
+def ordinals(exponents):
+    """Ordinals of up to three terms over the given exponents."""
+    return st.dictionaries(st.sampled_from(exponents), COEFFS, max_size=3).map(
+        lambda terms: Ordinal(sorted(terms.items(), reverse=True)))
+
+
+ORDINALS = ordinals(EXPONENTS)
+
+#: Towers one level below, at and past ordinal._SHALLOW and far past it,
+#: each with an equal copy that shares no object with it.
+TOWERS = [tower(from_int(n), h) for h in (_SHALLOW - 1, _SHALLOW, _SHALLOW + 1, 100)
+          for n in (2, 5)]
+TOWERS += [parse_ordinal(format_ordinal(t)) for t in TOWERS]
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +69,13 @@ ORDINALS = st.dictionaries(st.sampled_from(EXPONENTS), COEFFS, max_size=3).map(
 # ---------------------------------------------------------------------------
 
 @st.composite
-def event_logs(draw):
-    """k streams below a shared bound, with values drawn from ORDINALS and
+def event_logs(draw, values=ORDINALS):
+    """k streams below a shared bound, with values drawn from `values` and
     interleaved in the drawn order; k may be large enough that the silent
     streams' k-fold bound alone passes the limit."""
     k = draw(st.one_of(st.integers(1, 4), st.sampled_from([3, COEFF_LIMIT // 2, COEFF_LIMIT])))
-    bound = draw(ORDINALS.filter(bool))
-    pairs = draw(st.lists(st.tuples(st.integers(0, 3), ORDINALS), max_size=12))
+    bound = draw(values.filter(bool))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), values), max_size=12))
     queues = {s: sorted({v for t, v in pairs if t == s and v < bound}, reverse=True)
               for s in range(4)}
     events = []
@@ -73,6 +88,12 @@ def event_logs(draw):
 @derandomized
 @given(event_logs())
 def test_gamma_combine_matches_the_one_by_one_sum(log):
+    assert outcome(gamma_combine, log) == outcome(ref_gamma_combine, log)
+
+
+@derandomized
+@given(event_logs(ordinals(TOWERS)))
+def test_gamma_combine_on_deep_exponents_matches_the_one_by_one_sum(log):
     assert outcome(gamma_combine, log) == outcome(ref_gamma_combine, log)
 
 
@@ -149,6 +170,15 @@ def test_zeta_measure_matches_the_tree_fold(tree, data):
 
 
 @derandomized
+@given(trees(), st.data(), st.sampled_from([RANK_BOUND, tower(from_int(9), _SHALLOW - 1)]))
+def test_zeta_measure_of_deep_ranks_matches_the_tree_fold(tree, data, bound):
+    # below the second bound only the shallowest towers are ranks
+    pool = [t for t in TOWERS + [nat_add(t, ONE) for t in TOWERS] if t < bound]
+    ranks = RankAssignment(_drawn(data, tree, st.sampled_from(pool)), bound)
+    assert outcome(zeta_measure, tree, ranks) == outcome(ref_zeta_measure, tree, ranks)
+
+
+@derandomized
 @given(trees(), st.data())
 def test_zeta_pair_measure_matches_the_tree_fold(tree, data):
     slot = st.sampled_from([0, 1, 2, 3] * 12 + [-5, COEFF_LIMIT, None])
@@ -190,6 +220,22 @@ def test_zeta_decrease_check_matches_the_per_stage_measure(enum, data):
             ranks[node] = data.draw(st.sampled_from(SHALLOW_RANKS + DEEP_RANKS))
         elif choice:
             ranks[node] = nat_add(base, from_int(20 - len(node)))
+    assignment = RankAssignment(ranks, RANK_BOUND)
+    assert outcome(zeta_decrease_check, enum, assignment) == \
+        outcome(ref_zeta_decrease_check, enum, assignment)
+
+
+@derandomized
+@given(enumerations(), st.data())
+def test_zeta_decrease_check_on_deep_ranks_matches_the_per_stage_measure(enum, data):
+    # ranks that drop with depth from a deep tower, some drawn at random
+    base = data.draw(st.sampled_from(TOWERS))
+    ranks = {}
+    for node in sorted(enum.current.nodes):
+        if data.draw(st.integers(0, 4)):
+            ranks[node] = nat_add(base, from_int(20 - len(node)))
+        else:
+            ranks[node] = data.draw(st.sampled_from(TOWERS))
     assignment = RankAssignment(ranks, RANK_BOUND)
     assert outcome(zeta_decrease_check, enum, assignment) == \
         outcome(ref_zeta_decrease_check, enum, assignment)

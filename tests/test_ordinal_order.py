@@ -16,17 +16,23 @@ C.  Every result is compared with the tuple-order versions kept in
 - coefficient overflow, which names the same coefficient on both paths.
 
 The scale tests time each operation on towers with different bases at
-heights 60 and 240: linear time gives a ratio near 4, the quadratic tuple
-order near 16, and the bound is 8.
+heights 60 and 240, the two heights in turn within each round and the
+garbage collector off: linear time gives a ratio near 4, the quadratic
+tuple order near 16, and the bound is 8.  `gamma_combine` and
+`zeta_measure` sort eight such towers as the exponents of their natural
+sums.
 """
 
 import functools
+import gc
 import time
 
 import pytest
 
 import reference_ordinal as ref
 import reference_parser
+from epsilon0.descent import StreamEvent, StreamEventLog, gamma_combine
+from epsilon0.enumeration import LabeledTree, RankAssignment, zeta_measure
 from epsilon0.ordinal import (
     COEFF_LIMIT, EQ, LT, MAX_DEPTH, OMEGA, ONE, ZERO, InvalidIndexError, Ordinal,
     OrdinalOverflowError, _SHALLOW, _depth, _read, compare, decode, format_ordinal,
@@ -197,13 +203,27 @@ def test_constructor_and_parser_order_deep_terms():
 # scale
 # ---------------------------------------------------------------------------
 
-def _best_time(fn, reps=9):
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.process_time()
-        for _ in range(20):
-            fn()
-        best = min(best, time.process_time() - t0)
+def _best_times(*fns, rounds=9):
+    """The best CPU time of 20 calls of each function over `rounds` rounds,
+    the functions timed in turn within each round, so that a neighbour
+    process that slows one of them slows the others in the same round.
+    The garbage collector is off while they run, as in `timeit`: the
+    more a call allocates, the more collections run, and each walks every
+    live tower, so its share grows faster than the height whatever the
+    timed code does (with it on, `sort` read 6.5-7.7 on an idle machine)."""
+    best = [float("inf")] * len(fns)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for i, fn in enumerate(fns):
+                t0 = time.process_time()
+                for _ in range(20):
+                    fn()
+                best[i] = min(best[i], time.process_time() - t0)
+    finally:
+        if enabled:
+            gc.enable()
     return best
 
 
@@ -211,6 +231,10 @@ def _operations(h):
     a, b = tower(from_int(2), h), tower(from_int(3), h)
     eight = [tower(from_int(n), h) for n in (9, 4, 7, 2, 8, 3, 6, 5)]
     text = format_ordinal(nat_add(a, b))
+    log = StreamEventLog(1, omega_pow(tower(from_int(10), h)),
+                         (StreamEvent(0, 0, functools.reduce(nat_add, map(omega_pow, eight))),))
+    leaves = LabeledTree([()] + [(i,) for i in range(8)])
+    ranks = RankAssignment({(i,): x for i, x in enumerate(eight)}, tower(from_int(10), h))
     return {
         "compare": lambda: compare(a, b),
         "nat_add": lambda: nat_add(a, b),
@@ -218,15 +242,18 @@ def _operations(h):
         "is_below": lambda: is_below(a, b),
         "sort": lambda: sorted(eight, key=functools.cmp_to_key(compare)),
         "parse": lambda: parse_ordinal(text),
+        "gamma_combine": lambda: gamma_combine(log),     # natural sums of the eight
+        "zeta_measure": lambda: zeta_measure(leaves, ranks),
     }
 
 
-@pytest.mark.parametrize("op", ["compare", "nat_add", "std_add", "is_below", "sort", "parse"])
+@pytest.mark.parametrize("op", ["compare", "nat_add", "std_add", "is_below", "sort", "parse",
+                                "gamma_combine", "zeta_measure"])
 def test_time_grows_linearly_with_the_shared_depth(op):
     ratio = None
     for _ in range(3):   # a neighbour on a shared machine can slow one timing
-        low, high = _operations(60)[op], _operations(240)[op]
-        ratio = _best_time(high) / _best_time(low)
+        low, high = _best_times(_operations(60)[op], _operations(240)[op])
+        ratio = high / low
         if ratio < 8:
             break
     assert ratio < 8, f"{op}: height 240 took {ratio:.1f} times height 60"
