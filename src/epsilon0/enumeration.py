@@ -168,13 +168,16 @@ def step(enum: MonotoneEnumeration,
     Every added node must properly extend a leaf of the current tree, with
     any intermediate nodes also among the additions (so the result stays
     prefix-closed).  An empty addition set is an idle stage.  The first
-    offending node in `additions` order is rejected.  `enum` itself is
-    not changed, so it can be stepped again.
+    offending node in `additions` order is rejected, or raises ValueError
+    if its last index is not a non-negative int.  `enum` itself is not
+    changed, so it can be stepped again.
     """
     tree = enum.current
     added = dict.fromkeys(map(tuple, additions))
     found: Dict[Node, Tuple[Node, Optional[Node]]] = {}
     for node in added:
+        if node and (type(node[-1]) is not int or node[-1] < 0):
+            raise ValueError(f"node {node!r}: an index must be a non-negative int")
         if node in tree:
             return StepRejection(3, node, "node already enumerated")
         parent = node[:-1]

@@ -43,7 +43,7 @@ import re
 from functools import cmp_to_key
 from math import isqrt, log10
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "LT", "EQ", "GT",
@@ -527,11 +527,11 @@ def decode(i: OrdinalIndex) -> Ordinal:
 # value at its top-level "+" (a "+" is always a token of its own, and one
 # inside a group leaves its piece with more "(" than ")"), looks each
 # stripped term text up, and parses only the new ones, each alone; equal
-# exponents of one document are one object, so the terms merge on the same
-# monotone stack by identity.  Whatever does not fit (a piece that is not
-# one term alone, an unbalanced tail, a merge past COEFF_LIMIT) is parsed
-# whole by `_parse`, which gives the value or raises the error as for the
-# value alone.
+# exponents of one document are one object.  A value not already in normal
+# form (exponents not strictly decreasing), or that does not split so (a
+# piece that is not one term alone, an unbalanced tail), is parsed whole by
+# `_parse`, the one canonicalizer, which gives the value or raises the
+# error as for the value alone; its exponents then go through the memo.
 
 #: A token after the whitespace before it: "w^(", "0" (always alone, so "05"
 #: is 0 then 5), a number or another character.  `\s` is `str.isspace()`.
@@ -636,26 +636,17 @@ def _read(text: str, memo: Dict[object, object]) -> Ordinal:
         term = memo.get(piece)
         if term is None:
             try:
-                value = _parse(piece)
-            except (ValueError, ArithmeticError):
-                return _parse(text)     # raises as for the text alone
-            if len(value) != 1:
-                return _parse(text)
-            e, c = value[0]
+                (e, c), = _parse(piece)
+            except (ValueError, ArithmeticError):   # an error, or not one term
+                break
             term = memo[piece] = memo.setdefault(e, e), c
-        e, c = term
-        if terms and _order(terms[-1][0], e) <= 0:
-            while terms and _order(terms[-1][0], e) < 0:
-                terms.pop()
-            if terms and terms[-1][0] is e:
-                c += terms.pop()[1]
-                if c > COEFF_LIMIT:
-                    return _parse(text)
-                term = e, c
+        if terms and _order(terms[-1][0], term[0]) <= 0:    # not in normal form
+            break
         terms.append(term)
-    if depth:
-        return _parse(text)
-    return _raw(Ordinal, terms)
+    else:
+        if not depth:
+            return _raw(Ordinal, terms)
+    return _raw(Ordinal, [(memo.setdefault(e, e), c) for e, c in _parse(text)])
 
 
 def format_ordinal(a: Ordinal) -> str:
@@ -684,12 +675,3 @@ def _format(a: Ordinal, memo: Optional[Dict[Ordinal, str]]) -> str:
                 base = memo[e] = f"w^({_format(e, None)})"
         parts.append(base if c == 1 else f"{base}*{c}")
     return " + ".join(parts)
-
-
-def iter_valid_indexes(limit: int) -> Iterator[Tuple[int, Ordinal]]:
-    """Yield (index, ordinal) for every well-formed index below limit."""
-    for i in range(limit):
-        try:
-            yield i, decode(i)
-        except InvalidIndexError:
-            continue

@@ -34,12 +34,7 @@ def _max_homogeneous(f: PairColoring, floor: int, first: bool) -> Tuple[int, int
     """
     n = f.n
     # adj[c][x]: vertices y adjacent to x through a color-c pair
-    adj = [[0] * n for _ in range(2)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            c = f.color(x, y)
-            adj[c][x] |= 1 << y
-            adj[c][y] |= 1 << x
+    adj = ([((1 << n) - 1) ^ (1 << x) ^ a for x, a in enumerate(f.adj)], f.adj)
     best_size, best_mask = floor, 0
 
     def extend(color: int, mask: int, size: int, candidates: int) -> bool:

@@ -399,8 +399,27 @@ class SolverTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "SolverTrace":
-        data = json.loads(text)
+        """The trace of a `to_json` document.  ValueError unless `text` is a
+        JSON object holding every field with the JSON type `to_json` writes
+        there (a bool is no int; other keys are ignored)."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("trace nested too deeply") from None
+        for f in fields(cls):
+            if not (isinstance(data, dict) and _WRITES[f.type](data.get(f.name))):
+                raise ValueError(f"a trace is a JSON object with field {f.name!r} of type {f.type}")
         return cls(**{f.name: _tuples(data[f.name]) for f in fields(cls)})
+
+
+#: Per field annotation: is a JSON value what `to_json` writes there?
+_WRITES = {
+    "int": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+    "Tuple[int, ...]": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "Tuple[Tuple[int, int], ...]": lambda v: type(v) is list and all(
+        type(p) is list and len(p) == 2 and all(type(x) is int for x in p) for p in v),
+}
 
 
 def _tuples(value):

@@ -6,12 +6,13 @@ and tournaments: the packed pair bits; orders: permutations in
 lexicographic order).  Sampled sweeps draw instance i from the documented
 generator with seed (base_seed + i) mod 2^64 and run the scalar solvers,
 checkers and `to_json`, the reference the kernels are tested against.
-The report keeps its cells by column.  Rows (and coloring traces) beyond
+Both modes run one loop over chunks of _CHUNK instances, each giving one
+int array per report column.  Rows (and coloring traces) beyond
 `max_rows` are cut from the report but still counted.
 
-Every exhaustive sweep runs as numpy passes over chunks of _CHUNK
-instances stepping through the vertices together on uint8 masks (n <= 8
-is all that EXHAUSTIVE_PAIR_LIMIT admits); nothing scalar runs per code.
+An exhaustive chunk runs as numpy passes stepping through the vertices of
+its instances together on uint8 masks (n <= 8 is all that
+EXHAUSTIVE_PAIR_LIMIT admits); nothing scalar runs per code.
 
 * Tournaments: one out-mask per vertex and code, and EM's two passes.
   The transitive bound floor(log2 n) + 1 is checked by a rule per bound:
@@ -67,8 +68,6 @@ __all__ = ["sweep", "transitive_bound", "ascdesc_bound", "verify_cohesive",
 #: Exhaustive sweeps refuse instances with more pair bits than this.
 EXHAUSTIVE_PAIR_LIMIT = 28
 
-_MASK64 = (1 << 64) - 1
-
 
 def transitive_bound(n: int) -> int:
     """floor(log2 n) + 1, the guaranteed transitive subtournament size."""
@@ -91,7 +90,7 @@ def verify_cohesive(family: SetFamily, result: CohResult) -> bool:
                               result.sides, result.thresholds) is None
 
 
-#: Instance ids per numpy chunk of an exhaustive sweep.
+#: Instance ids per chunk of a sweep.
 _CHUNK = 1 << 16
 
 
@@ -523,29 +522,27 @@ def sweep(kind: str, n: int, mode: str, *, count: int = 0,
             f"exhaustive sweep needs C(n,2) <= {EXHAUSTIVE_PAIR_LIMIT}, got {pair_count(n)}")
 
     columns, make, check, chunk_rows = _KINDS[kind]
-    tails: List[Tuple] = []       # exhaustive: columns per chunk; sampled: rows
+    total = count if mode == "sample" else factorial(n) if kind == "order" else 1 << pair_count(n)
+    tails: List[List] = []        # the columns of each chunk, cut to the rows kept
     traces: List[str] = []
     failures = 0
-    if mode == "exhaustive":
-        total = factorial(n) if kind == "order" else 1 << pair_count(n)
-        for lo in range(0, total, _CHUNK):
-            hi, room = min(lo + _CHUNK, total), max(max_rows - lo, 0)
+    for lo in range(0, total, _CHUNK):
+        hi, room = min(lo + _CHUNK, total), max(max_rows - lo, 0)
+        if mode == "exhaustive":
             tail, lines = chunk_rows(n, lo, hi, window, room, want_traces)
-            failures += hi - lo - int(np.count_nonzero(tail[-1]))
-            traces += lines
-            if room:                      # even an empty view would pin the chunk
-                tails.append([column[:room] for column in tail])
-        cells = [np.concatenate(column) for column in zip(*tails)]
-    else:
-        total = count
-        for ident in range(count):
-            row, trace = check(make(n, (seed + ident) & _MASK64), window, target)
-            failures += not row[-1]
-            if len(tails) < max_rows:
-                tails.append(row)
-                if want_traces and trace is not None:
-                    traces.append(trace.to_json())
-        cells = [np.array(column) for column in zip(*tails)]
+        else:
+            rows, lines = [], []
+            for ident in range(lo, hi):
+                row, trace = check(make(n, seed + ident), window, target)
+                rows.append(row)
+                if want_traces and trace is not None and ident < max_rows:
+                    lines.append(trace.to_json())
+            tail = [np.array(column) for column in zip(*rows)]
+        failures += hi - lo - int(np.count_nonzero(tail[-1]))
+        traces += lines
+        if room:                          # even an empty view would pin the chunk
+            tails.append([column[:room] for column in tail])
+    cells = [np.concatenate(column) for column in zip(*tails)]
     return Report(kind=kind, n=n, mode=mode, seed=seed, columns=columns,
                   cells=(range(min(total, max_rows)), *(cells or [()] * (len(columns) - 1))),
                   count=total, failures=failures, truncated=total > max_rows, traces=traces)

@@ -14,7 +14,8 @@ import reference_report
 from epsilon0.cli import main
 from epsilon0.descent import StreamEvent, StreamEventLog
 from epsilon0.ordinal import (
-    LT, ZERO, OrdinalOverflowError, compare, from_int, nat_add, nat_mul_k, omega_pow,
+    LT, ZERO, InvalidIndexError, OrdinalOverflowError, compare, decode, from_int, nat_add,
+    nat_mul_k, omega_pow,
 )
 from epsilon0.ramsey import PairColoring, Tournament
 from epsilon0.ramsey.instances import pair_count
@@ -37,6 +38,15 @@ def outcome(call, *args):
         return call(*args)
     except Exception as exc:  # every exception is part of the comparison
         return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def iter_valid_indexes(limit):
+    """(index, ordinal) for every index below limit that decodes."""
+    for i in range(limit):
+        try:
+            yield i, decode(i)
+        except InvalidIndexError:
+            continue
 
 
 def rank_below(r, rng):

@@ -23,7 +23,7 @@ from epsilon0.enumeration import (
 )
 from epsilon0.generate import SplitMix64, make_coloring
 from epsilon0.ordinal import (
-    GT, LT, ZERO, compare, decode, encode, from_int, iter_valid_indexes,
+    GT, LT, ZERO, compare, decode, encode, from_int,
     nat_add, nat_mul_k, nat_mul_omega, omega_pow, parse_ordinal,
 )
 from epsilon0.ramsey import (
@@ -39,8 +39,8 @@ from epsilon0.sweep import (
     sweep, transitive_bound,
 )
 from support import (
-    brute_replay, chain_generator, exhaustive_logs, full_tree_generator, random_generator,
-    random_ordinal, rank_below,
+    brute_replay, chain_generator, exhaustive_logs, full_tree_generator, iter_valid_indexes,
+    random_generator, random_ordinal, rank_below,
 )
 
 o = parse_ordinal

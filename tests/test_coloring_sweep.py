@@ -155,20 +155,31 @@ def test_the_order_monotone_check_matches_the_reference_on_corrupted_chains(n):
     assert flagged > 0 or n < 2
 
 
-@pytest.mark.parametrize("kind, n, kw, formats", [
-    ("coloring", 5, {"want_traces": True}, ("summary", "tsv", "trace")),
-    ("coloring", 6, {"window": 2}, ("summary", "tsv", "trace")),
-    ("order", 7, {}, ("summary", "tsv", "trace")),
-    ("tournament", 6, {}, ("summary", "tsv")),
+@pytest.mark.parametrize("kind, n, mode, kw, formats", [
+    ("coloring", 5, "exhaustive", {"want_traces": True}, ("summary", "tsv", "trace")),
+    ("coloring", 6, "exhaustive", {"window": 2}, ("summary", "tsv", "trace")),
+    ("order", 7, "exhaustive", {}, ("summary", "tsv", "trace")),
+    ("tournament", 6, "exhaustive", {}, ("summary", "tsv")),
+    # sampled: 2,600 instances over three chunks, the seeds of some across 2^64
+    ("coloring", 6, "sample", {"count": 2600, "seed": 2**64 - 1700, "want_traces": True},
+     ("summary", "tsv", "trace")),
+    ("coloring", 9, "sample", {"count": 2600, "seed": -3, "window": 1, "want_traces": True},
+     ("summary", "tsv", "trace")),
+    ("tournament", 9, "sample", {"count": 2600, "seed": 5, "want_traces": True},
+     ("summary", "tsv", "trace")),
+    ("order", 10, "sample", {"count": 2600, "seed": 2**64 - 1}, ("summary", "tsv", "trace")),
+    ("family", 7, "sample", {"count": 2600, "seed": -1000}, ("summary", "tsv", "trace")),
 ])
-def test_chunk_boundaries_do_not_change_the_report(monkeypatch, kind, n, kw, formats):
-    rows = (0, 5, 1500, 100_000)
-    whole = {r: sweep(kind, n, "exhaustive", max_rows=r, **kw) for r in rows}
+def test_chunk_boundaries_do_not_change_the_report(monkeypatch, kind, n, mode, kw, formats):
+    rows = (0, 5, 1500, 100_000)          # 1500 cuts the second chunk of 1000
+    whole = {r: sweep(kind, n, mode, max_rows=r, **kw) for r in rows}
     monkeypatch.setattr(SWEEP_MODULE, "_CHUNK", 1000)
     for r, report in whole.items():
-        chunked = sweep(kind, n, "exhaustive", max_rows=r, **kw)
+        chunked = sweep(kind, n, mode, max_rows=r, **kw)
         for fmt in formats:
             assert emit(chunked, fmt) == emit(report, fmt), (r, fmt)
+        assert len(chunked.traces) == (min(r, chunked.count) if kw.get("want_traces")
+                                       and kind == "coloring" else 0)
 
 
 def test_failures_count_every_failed_check_across_chunks(monkeypatch):
@@ -181,6 +192,16 @@ def test_failures_count_every_failed_check_across_chunks(monkeypatch):
     monkeypatch.setattr(SWEEP_MODULE, "_CHUNK", 100)
     monkeypatch.setattr(SWEEP_MODULE, "_verify_coloring_chunk", failing)
     report = sweep("coloring", 5, "exhaustive", max_rows=8)
+    assert report.failures == sum(1 for c in range(1024) if c % 7 == 0)
+    assert [row[-1] for row in report.rows] == [0, 1, 1, 1, 1, 1, 1, 0]
+
+    def failing_check(seed, window, target):     # the generator below hands it the seed
+        return (0, 1, int(seed % 7 != 0)), None
+
+    columns, _, _, kernel = SWEEP_MODULE._KINDS["family"]
+    monkeypatch.setitem(SWEEP_MODULE._KINDS, "family",
+                        (columns, lambda n, seed: seed, failing_check, kernel))
+    report = sweep("family", 5, "sample", count=1024, seed=0, max_rows=8)
     assert report.failures == sum(1 for c in range(1024) if c % 7 == 0)
     assert [row[-1] for row in report.rows] == [0, 1, 1, 1, 1, 1, 1, 0]
 

@@ -4,7 +4,9 @@ The oracles share no code with the solvers or the checkers they are used
 to test, and the solvers take nothing from the oracles.  Imports are read
 from the source with `ast`, at any depth (a function-level import counts).
 Each property has one oracle search: the threshold queries run the
-maximum search from a floor and define no search of their own.
+maximum search from a floor and define no search of their own.  The
+oracles read a coloring through its adjacency masks `PairColoring.adj`,
+with no per-pair `color` or `pair_index` call.
 Each property has one checker, in `checkers.py`, which works on the
 instance masks and calls no per-pair `color`/`beats`/`pair_index`; the
 coloring -> tournament rule is written once, in `PairColoring.out`, besides
@@ -20,7 +22,9 @@ Ordinal text has one parser, `epsilon0.ordinal._parse` (`parse_ordinal`
 calls it alone), which tokenizes with one regex: no character scanner is
 left.  The log parsers of `descent` and `enumeration` read their values
 through `ordinal._read`, which hands each new top-level term text to
-`_parse` and reads none of the grammar's tokens itself.
+`_parse` and reads none of the grammar's tokens itself; it merges no
+terms either (no `pop`, no coefficient check): `_parse` is the one
+canonicalizer.
 A natural sum of many values is one exponent count, `ordinal._nat_sum`:
 no tree fold is left in `enumeration`, `nat_add` is used only where
 `gamma_combine` re-runs the one-by-one sum to name an overflow, and
@@ -111,6 +115,13 @@ def test_the_oracles_have_one_search_per_property():
         "_max_homogeneous", "_max_transitive"]
     assert nested["has_homogeneous_of_size"] == []
     assert nested["has_transitive_of_size"] == []
+
+
+def test_the_oracles_read_the_adjacency_masks():
+    oracles = _functions(RAMSEY / "oracles.py")
+    called = set().union(*map(_called_names, oracles.values()))
+    assert not called & {"color", "pair_index"}
+    assert _mentions(oracles["_max_homogeneous"], "adj")
 
 
 def test_the_package_exports_stay_the_same():
@@ -288,7 +299,13 @@ def test_ordinal_text_has_one_tokenizing_parser():
                               for n in [node.left, *node.comparators])})
     assert readers == [("ordinal.py", "_parse")]
     assert _called_names(_functions(SRC / "ordinal.py")["parse_ordinal"]) == {"_parse"}
-    assert "_parse" in _called_names(_functions(SRC / "ordinal.py")["_read"])
+    read = _functions(SRC / "ordinal.py")["_read"]
+    assert "_parse" in _called_names(read)
+    # no merge: the document reader pops no term and adds no coefficients
+    assert not _called_names(read) & {"pop", "_check_coeff"}
+    assert not _mentions(read, "COEFF_LIMIT")
+    assert not [n for n in ast.walk(read) if isinstance(n, (ast.BinOp, ast.AugAssign))
+                and isinstance(n.op, ast.Add) and not _mentions(n, "depth")]
     for module in (epsilon0.descent, epsilon0.enumeration):
         assert module._read is epsilon0.ordinal._read
         functions = _functions(Path(module.__file__))

@@ -15,11 +15,11 @@ from epsilon0.ordinal import (
     InvalidIndexError, Ordinal, OrdinalDepthError, OrdinalOverflowError,
     OrdinalSyntaxError,
     compare, decode, encode, format_ordinal, from_int, is_below,
-    iter_valid_indexes, nat_add, nat_mul_k, nat_mul_omega, omega_pow,
+    nat_add, nat_mul_k, nat_mul_omega, omega_pow,
     pair, parse_ordinal, std_add, tower, unpair,
 )
 import reference_ordinal
-from support import outcome, sum_of_terms
+from support import iter_valid_indexes, outcome, sum_of_terms
 
 o = parse_ordinal
 
@@ -628,8 +628,13 @@ def test_cli_decode_refuses_an_index_past_the_bit_limit_quickly():
 # ---------------------------------------------------------------------------
 
 HASH_SCRIPT = """
-from epsilon0.ordinal import format_ordinal, iter_valid_indexes, parse_ordinal, tower
-values = [alpha for _, alpha in iter_valid_indexes(3000)]
+from epsilon0.ordinal import InvalidIndexError, decode, format_ordinal, parse_ordinal, tower
+values = []
+for i in range(3000):        # the indexes below 3000 that decode
+    try:
+        values.append(decode(i))
+    except InvalidIndexError:
+        pass
 values += [parse_ordinal("w^(w^(w*2 + 1) + w^(3))*4 + w*7 + 2"), tower(values[7], 40)]
 print(" ".join(str(hash(v)) for v in values))
 print(" | ".join(format_ordinal(v) for v in set(values)))
